@@ -32,45 +32,51 @@ class ValidationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# One-form grammar: sums of  c * x^i y^j (dx|dy)  with rational c
+# One-form grammar: signed sums of  c * x^i y^j (dx|dy)  with rational c
+#
+#   form := [sign] term (sign term)*        sign := "+" | "-"
+#   term := [c] ["*"] ["x" ["^" n]] ["y" ["^" n]] ("dx" | "dy")
+#   c    := digits ["/" digits]             n := digits, at most MAX_EXPONENT
+#
+# A missing coefficient is 1, so "-x dy" and "y dx - x dy" parse.
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 64
+
 _TERM_RE = re.compile(
-    r"^\s*(?P<coef>[+-]?\s*\d+(?:/\d+)?)?\s*\*?\s*"
-    r"(?P<xs>x(?:\^\d+)?)?\s*(?P<ys>y(?:\^\d+)?)?\s*(?P<basis>d[xy])\s*$")
+    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*"
+    r"(?P<xs>x(?:\^\d+)?)?\s*(?P<ys>y(?:\^\d+)?)?\s*(?P<basis>d[xy])\s*")
+
+
+def _exponent(group) -> int:
+    if group is None:
+        return 0
+    n = int(group[2:]) if "^" in group else 1
+    if n > MAX_EXPONENT:
+        raise ValidationError(f"exponent {n} exceeds the cap {MAX_EXPONENT}")
+    return n
 
 
 def parse_one_form(text: str) -> OneForm:
-    # split into signed terms; signs inside fractions never follow a space
-    parts = []
-    buf = ""
-    depth = 0
-    for ch in text:
-        if ch in "+-" and buf.strip() and buf.strip()[-1] not in "*^/":
-            parts.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    if buf.strip():
-        parts.append(buf)
     a = WeightedPoly.zero()
     b = WeightedPoly.zero()
-    for part in parts:
-        m = _TERM_RE.match(part.replace("  ", " "))
-        if not m:
-            raise ValidationError(f"cannot parse one-form term {part.strip()!r}")
-        coef = m.group("coef")
-        coef = Fraction((coef or "1").replace(" ", "").replace("+", "") or "1")
-        i = j = 0
-        if m.group("xs"):
-            i = int(m.group("xs")[2:]) if "^" in m.group("xs") else 1
-        if m.group("ys"):
-            j = int(m.group("ys")[2:]) if "^" in m.group("ys") else 1
-        mono = WeightedPoly.mono(coef, i, j)
+    pos = 0
+    while text[pos:].strip():
+        m = _TERM_RE.match(text, pos)
+        if not m or (pos and not m.group("sign")):
+            raise ValidationError(f"cannot parse one-form term at {text[pos:].strip()!r}")
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValidationError(f"zero denominator in {m.group(0).strip()!r}") from None
+        if m.group("sign") == "-":
+            coef = -coef
+        mono = WeightedPoly.mono(coef, _exponent(m.group("xs")), _exponent(m.group("ys")))
         if m.group("basis") == "dx":
             a = a + mono
         else:
             b = b + mono
+        pos = m.end()
     return OneForm(a, b)
 
 

@@ -9,8 +9,9 @@ finite sums  phi^j H^m P(x, y)  with integer m of either sign.
 
 The iteration that produces the first nonvanishing generating function
 multiplies the dH-coefficient of the previous step back onto the original
-perturbation and reduces again, so a single work-queue reducer over
-(phi-power, H-power) buckets serves every stage.
+perturbation and reduces again.  The reduction is linear, so the reducer
+reduces each unit monomial once and builds every stage as a sparse sum of
+cached entries.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ _MONO_SPLIT_CACHE = {}
 
 def _mono_split(spec, i, j):
     """Normal form of the monomial x^i y^j as {h_power: {(i', j'): coeff}}."""
-    key = (spec.name, i, j)
+    key = (spec.name, spec.s, spec.e, i, j)
     hit = _MONO_SPLIT_CACHE.get(key)
     if hit is not None:
         return hit
@@ -92,14 +93,6 @@ def _wp_to_levels(spec, p: WeightedPoly):
             for key, cc in d.items():
                 _xy_add(tgt, key[0], key[1], cc)
     return {m: v for m, v in buckets.items() if v}
-
-
-def _levels_to_wp(levels) -> WeightedPoly:
-    terms = {}
-    for m, d in levels.items():
-        for (i, j), c in d.items():
-            terms[(i, j, m)] = terms.get((i, j, m), Fraction(0)) + c
-    return WeightedPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +189,6 @@ class ExtElem:
                 out._accumulate(r, p, poly * (comb(j, r) * c ** (j - r)))
         return out
 
-    def normalized(self, spec) -> "ExtElem":
-        out = ExtElem()
-        for (j, p), poly in self.entries.items():
-            out._accumulate(j, p, normal_form(poly, spec))
-        return out
-
     def canonical(self) -> str:
         if not self.entries:
             return "0"
@@ -224,36 +211,6 @@ class ExtElem:
 # The reducer
 # ---------------------------------------------------------------------------
 
-class _Buckets:
-    """Work queue keyed by (phi_level, h_power) holding xy-monomial dicts."""
-
-    def __init__(self):
-        self.data = {}
-
-    def add(self, l, m, i, j, c):
-        if c == 0:
-            return
-        d = self.data.setdefault((l, m), {})
-        _xy_add(d, i, j, c)
-        if not d:
-            self.data.pop((l, m), None)
-
-    def add_dict(self, l, m, xy, scale=Fraction(1)):
-        for (i, j), c in xy.items():
-            self.add(l, m, i, j, c * scale)
-
-    def pop_level(self, l):
-        keys = [k for k in self.data if k[0] == l]
-        out = [(k[1], self.data.pop(k)) for k in keys]
-        return out
-
-    def max_level(self):
-        return max((k[0] for k in self.data), default=None)
-
-    def __bool__(self):
-        return bool(self.data)
-
-
 @dataclass
 class Reduction:
     """Outcome of reducing an extended one-form.
@@ -266,8 +223,51 @@ class Reduction:
     residue: dict
 
 
+# A unit monomial phi^l H^m x^i y^j (dx | dy | dphi) is keyed (l, m, i, j, kind).
+_DX, _DY, _DPHI = 0, 1, 2
+
+# {(spec.name, spec.s, spec.e, fold_sigma1, mode): {unit key: (exact, q, residue)}}
+# where exact and q map (l, m, i, j) and residue maps (l, m, i) to the
+# coefficient in the full reduction of that single unit monomial.
+# The cache is cleared when a run starts with more than MAX_UNIT_CACHE_TERMS
+# terms stored (a benchmark chain settles near 21k).
+_UNIT_CACHE = {}
+_unit_cache_terms = 0
+MAX_UNIT_CACHE_TERMS = 200_000
+
+
+def _clear_unit_cache():
+    global _unit_cache_terms
+    _UNIT_CACHE.clear()
+    _unit_cache_terms = 0
+
+
+def _ext_from_terms(terms) -> ExtElem:
+    """{(l, m, i, j): c} -> ExtElem; (l, m) -> (l, max(0, -m)) is injective."""
+    out = ExtElem()
+    for (l, m, i, j), c in terms.items():
+        poly = out.entries.setdefault((l, max(0, -m)), WeightedPoly())
+        poly.terms[(i, j, max(0, m))] = c
+    return out
+
+
+def _add_scaled(dst, src, c):
+    """dst += c * src over coefficient dicts; zero sums are left for the caller."""
+    for key, v in src.items():
+        dst[key] = dst.get(key, 0) + c * v
+
+
+def _nonzero(d):
+    return {key: v for key, v in d.items() if v}
+
+
 class Reducer:
-    """Single-pass rewriting of extended one-forms over a quartic Hamiltonian.
+    """Rewriting of extended one-forms over a quartic Hamiltonian.
+
+    The reduction is linear, so each normal-form unit monomial is reduced
+    once: its entry (exact, q, residue) is its own move plus the cached
+    entries of the unit monomials that move produces, scaled.  A run is the
+    sparse sum of the entries of its input's monomials.
 
     mode "refined" keeps H-poles in the dH-coefficient as shallow as the
     structure theory predicts; mode "plain" replaces every W dphi by
@@ -287,50 +287,77 @@ class Reducer:
 
     def run(self, items) -> Reduction:
         """items: {(l, m): (xy_dict_A, xy_dict_B)} meaning phi^l H^m (A dx + B dy)."""
-        self.dx = _Buckets()
-        self.dy = _Buckets()
-        self.dphi = _Buckets()
-        self.Q = _Buckets()
-        self.q = _Buckets()
-        self.res = {}
+        if _unit_cache_terms > MAX_UNIT_CACHE_TERMS:
+            _clear_unit_cache()
+        memo = _UNIT_CACHE.setdefault((self.spec.name, self.s, self.e, self.fold, self.mode), {})
+        units = {}
         for (l, m), (a, b) in items.items():
-            for dk, dct in _nf_split(self.spec, a).items():
-                self.dx.add_dict(l, m + dk, dct)
-            for dk, dct in _nf_split(self.spec, b).items():
-                self.dy.add_dict(l, m + dk, dct)
-        moves = 0
-        while self.dx or self.dy or self.dphi:
-            lvl = max(x for x in (self.dx.max_level(), self.dy.max_level(),
-                                  self.dphi.max_level()) if x is not None)
-            while True:
-                progressed = False
-                for m, xy in self.dy.pop_level(lvl):
-                    progressed = True
-                    self._move_dy(lvl, m, xy)
-                for m, xy in self.dx.pop_level(lvl):
-                    progressed = True
-                    self._move_dx(lvl, m, xy)
-                for m, xy in self.dphi.pop_level(lvl):
-                    progressed = True
-                    self._move_dphi(lvl, m, xy)
-                moves += 1
-                if moves > self.MAX_MOVES:
+            self._put(units, l, m, a, _DX)
+            self._put(units, l, m, b, _DY)
+        exact, q, res = {}, {}, {}
+        for key, c in units.items():
+            if not c:
+                continue
+            entry = memo.get(key)
+            if entry is None:
+                entry = self._fill(memo, key)
+            _add_scaled(exact, entry[0], c)
+            _add_scaled(q, entry[1], c)
+            _add_scaled(res, entry[2], c)
+        return Reduction(exact=_ext_from_terms(_nonzero(exact)),
+                         dh_coeff=_ext_from_terms(_nonzero(q)), residue=_nonzero(res))
+
+    def _fill(self, memo, root):
+        """Cache the entry of `root` and of every uncached descendant, post-order."""
+        global _unit_cache_terms
+        stack = [root]
+        path = {}  # expanded, unfinished unit -> (own parts, children)
+        expansions = 0
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            node = path.get(key)
+            if node is None:
+                expansions += 1
+                if expansions > self.MAX_MOVES:
                     raise ShapeError("reducer failed to terminate")
-                if not progressed:
-                    break
-        exact = ExtElem()
-        for (l, m), xy in self.Q.data.items():
-            for (i, j), c in xy.items():
-                exact.add_term(l, m, i, j, c)
-        dh = ExtElem()
-        for (l, m), xy in self.q.data.items():
-            for (i, j), c in xy.items():
-                dh.add_term(l, m, i, j, c)
-        return Reduction(exact=exact, dh_coeff=dh, residue=dict(self.res))
+                node = path[key] = self._expand(key)
+                pending = [k for k in node[1] if k not in memo]
+                if any(k in path for k in pending):
+                    raise ShapeError("reducer failed to terminate")
+                if pending:
+                    stack.extend(pending)
+                    continue
+            stack.pop()
+            del path[key]
+            own, kids = node
+            for kid, c in kids.items():
+                for part, kid_part in zip(own, memo[kid]):
+                    _add_scaled(part, kid_part, c)
+            entry = memo[key] = tuple(_nonzero(part) for part in own)
+            _unit_cache_terms += sum(map(len, entry))
+        return memo[root]
 
-    # -- individual moves --------------------------------------------------
+    def _expand(self, key):
+        """One move on a unit monomial: ((exact, q, residue), {child unit: coeff})."""
+        self.Q, self.q, self.res, self.kids = {}, {}, {}, {}
+        l, m, i, j, kind = key
+        (self._move_dx, self._move_dy, self._move_dphi)[kind](l, m, i, j)
+        return (self.Q, self.q, self.res), _nonzero(self.kids)
 
-    def _emit_d(self, l, m, u_xy, scale):
+    # -- individual moves on one unit monomial -----------------------------
+
+    def _put(self, sink, l, m, xy, kind=None):
+        """Normal-form xy and add it at phi^l H^m to an output part, or as
+        children of the given kind."""
+        for dk, d in _nf_split(self.spec, xy).items():
+            for (i, j), c in d.items():
+                key = (l, m + dk, i, j) if kind is None else (l, m + dk, i, j, kind)
+                sink[key] = sink.get(key, 0) + c
+
+    def _emit_d(self, l, m, u_xy):
         """Bookkeeping for the term phi^l H^m dU with U an x,y-polynomial.
 
         U is normal-formed first; with U = sum_dk H^dk u_dk the concrete
@@ -340,104 +367,72 @@ class Reducer:
                                 - l phi^(l-1) H^(m+dk) u_dk dphi ].
         """
         for dk, u in _nf_split(self.spec, u_xy).items():
-            self.Q.add_dict(l, m + dk, u, scale)
-            if l:
-                self.dphi.add_dict(l - 1, m + dk, u, -l * scale)
-            if m:
-                self.q.add_dict(l, m - 1 + dk, u, -m * scale)
-
-    def _move_dy(self, l, m, xy):
-        # phi^l H^m B dy with B = sum c x^i y^j: integrate in y
-        prim = {}
-        px = {}
-        for (i, j), c in xy.items():
-            _xy_add(prim, i, j + 1, c / (j + 1))
-            if i:
-                _xy_add(px, i - 1, j + 1, c * Fraction(i, j + 1))
-        self._emit_d(l, m, prim, Fraction(1))
-        for dk, d in _nf_split(self.spec, px).items():
-            self.dx.add_dict(l, m + dk, d, Fraction(-1))
-
-    def _move_dx(self, l, m, xy):
-        s, e = self.s, self.e
-        for (i, j), c in xy.items():
-            if j >= 2:
-                lam = Fraction(1, i + 1 + 2 * j)
-                self._emit_d(l, m, {(i + 1, j): c * lam}, Fraction(1))
-                for dk, d in _nf_split(self.spec, {(i + 1, j - 2): c * lam * j}).items():
-                    self.q.add_dict(l, m + dk, d, Fraction(-1))
-                kids = {}
-                _xy_add(kids, i + 2, j - 2, c * lam * s * e * j)
-                _xy_add(kids, i, j - 2, -c * lam * s * e * e * j)
-                for dk, d in _nf_split(self.spec, kids).items():
-                    self.dx.add_dict(l, m + dk, d)
-                self.dx.add(l, m + 1, i, j - 2, c * lam * 4 * j)
-            elif j == 0:
-                self._emit_d(l, m, {(i + 1, 0): c / (i + 1)}, Fraction(1))
-            else:  # j == 1
-                if i == 3:
-                    # x^3 y dx = e sigma_1 + (1/s)(y dH - d(y^3/3))
-                    self.dx.add(l, m, 1, 1, c * e)
-                    self.q.add(l, m, 0, 1, c * Fraction(1, s))
-                    self._emit_d(l, m, {(0, 3): Fraction(-1, 3 * s)}, c)
-                elif i == 1 and self.fold:
-                    g0 = {(2, 1): Fraction(1, 4), (0, 1): Fraction(-e, 4)}
-                    self._emit_d(l, m, g0, c)
-                    self.dphi.add(l, m + 1, 0, 0, c)
-                else:
-                    key = (l, m, i)
-                    cur = self.res.get(key, Fraction(0)) + c
-                    if cur:
-                        self.res[key] = cur
-                    else:
-                        self.res.pop(key, None)
-
-    def _move_dphi(self, l, m, xy):
-        s, e = self.s, self.e
-        if self.mode == "plain":
-            dxp, dyp = {}, {}
-            for (i, j), c in xy.items():
-                if i == 0 and j == 0:
-                    # the pure-H part always folds; routing it through the
-                    # moment form would cycle forever
-                    self.Q.add(l + 1, m, 0, 0, c / (l + 1))
-                    if m:
-                        self.q.add(l + 1, m - 1, 0, 0, -c * Fraction(m, l + 1))
-                    continue
-                _xy_add(dxp, i + 1, j + 1, c / 2)
-                _xy_add(dyp, i + 2, j, -c / 4)
-                _xy_add(dyp, i, j, c * Fraction(e, 4))
-            for dk, d in _nf_split(self.spec, dxp).items():
-                self.dx.add_dict(l, m - 1 + dk, d)
-            for dk, d in _nf_split(self.spec, dyp).items():
-                self.dy.add_dict(l, m - 1 + dk, d)
-            return
-        for (i, j), c in xy.items():
-            if i == 0 and j == 0:
-                # pure function of H: fold into the next phi power
-                self.Q.add(l + 1, m, 0, 0, c / (l + 1))
+            for (i, j), c in u.items():
+                key = (l, m + dk, i, j)
+                self.Q[key] = self.Q.get(key, 0) + c
+                if l:
+                    key = (l - 1, m + dk, i, j, _DPHI)
+                    self.kids[key] = self.kids.get(key, 0) - l * c
                 if m:
-                    self.q.add(l + 1, m - 1, 0, 0, -c * Fraction(m, l + 1))
-            elif j >= 1:
-                # divide by y and use y dphi = x dx - (x^2 - e)/(4H) dH
-                for dk, d in _nf_split(self.spec, {(i + 1, j - 1): c}).items():
-                    self.dx.add_dict(l, m + dk, d)
-                qc = {}
-                _xy_add(qc, i + 2, j - 1, -c / 4)
-                _xy_add(qc, i, j - 1, c * Fraction(e, 4))
-                for dk, d in _nf_split(self.spec, qc).items():
-                    self.q.add_dict(l, m - 1 + dk, d)
-            elif i >= 2:
-                # x^i = e x^(i-2) + x^(i-2)(x^2 - e);
-                # (x^2-e) dphi = y/(2sH) dH - dy/s
-                self.dphi.add(l, m, i - 2, 0, c * e)
-                self.q.add(l, m - 1, i - 2, 1, c * Fraction(1, 2 * s))
-                self.dy.add(l, m, i - 2, 0, -c * Fraction(1, s))
-            else:
-                # x dphi = H^{-1} (x^2 y / 2 dx - (x^3 - e x)/4 dy)
-                self.dx.add(l, m - 1, 2, 1, c / 2)
-                self.dy.add(l, m - 1, 3, 0, -c / 4)
-                self.dy.add(l, m - 1, 1, 0, c * Fraction(e, 4))
+                    key = (l, m - 1 + dk, i, j)
+                    self.q[key] = self.q.get(key, 0) - m * c
+
+    def _move_dy(self, l, m, i, j):
+        # phi^l H^m x^i y^j dy: integrate in y
+        self._emit_d(l, m, {(i, j + 1): Fraction(1, j + 1)})
+        if i:
+            self._put(self.kids, l, m, {(i - 1, j + 1): Fraction(-i, j + 1)}, _DX)
+
+    def _move_dx(self, l, m, i, j):
+        s, e = self.s, self.e
+        if j >= 2:
+            lam = Fraction(1, i + 1 + 2 * j)
+            self._emit_d(l, m, {(i + 1, j): lam})
+            self._put(self.q, l, m, {(i + 1, j - 2): -lam * j})
+            self._put(self.kids, l, m, {(i + 2, j - 2): lam * s * e * j,
+                                        (i, j - 2): -lam * s * e * e * j}, _DX)
+            self._put(self.kids, l, m + 1, {(i, j - 2): lam * 4 * j}, _DX)
+        elif j == 0:
+            self._emit_d(l, m, {(i + 1, 0): Fraction(1, i + 1)})
+        elif i == 3:
+            # x^3 y dx = e sigma_1 + (1/s)(y dH - d(y^3/3))
+            self._put(self.kids, l, m, {(1, 1): Fraction(e)}, _DX)
+            self._put(self.q, l, m, {(0, 1): Fraction(1, s)})
+            self._emit_d(l, m, {(0, 3): Fraction(-1, 3 * s)})
+        elif i == 1 and self.fold:
+            self._emit_d(l, m, {(2, 1): Fraction(1, 4), (0, 1): Fraction(-e, 4)})
+            self._put(self.kids, l, m + 1, {(0, 0): Fraction(1)}, _DPHI)
+        else:
+            self.res[(l, m, i)] = Fraction(1)
+
+    def _move_dphi(self, l, m, i, j):
+        s, e = self.s, self.e
+        if i == 0 and j == 0:
+            # pure function of H: fold into the next phi power (in plain mode
+            # too, where routing it through the moment form would cycle forever)
+            self.Q[(l + 1, m, 0, 0)] = Fraction(1, l + 1)
+            if m:
+                self.q[(l + 1, m - 1, 0, 0)] = Fraction(-m, l + 1)
+        elif self.mode == "plain":
+            self._put(self.kids, l, m - 1, {(i + 1, j + 1): Fraction(1, 2)}, _DX)
+            self._put(self.kids, l, m - 1, {(i + 2, j): Fraction(-1, 4),
+                                            (i, j): Fraction(e, 4)}, _DY)
+        elif j >= 1:
+            # divide by y and use y dphi = x dx - (x^2 - e)/(4H) dH
+            self._put(self.kids, l, m, {(i + 1, j - 1): Fraction(1)}, _DX)
+            self._put(self.q, l, m - 1, {(i + 2, j - 1): Fraction(-1, 4),
+                                         (i, j - 1): Fraction(e, 4)})
+        elif i >= 2:
+            # x^i = e x^(i-2) + x^(i-2)(x^2 - e);
+            # (x^2-e) dphi = y/(2sH) dH - dy/s
+            self._put(self.kids, l, m, {(i - 2, 0): Fraction(e)}, _DPHI)
+            self._put(self.q, l, m - 1, {(i - 2, 1): Fraction(1, 2 * s)})
+            self._put(self.kids, l, m, {(i - 2, 0): Fraction(-1, s)}, _DY)
+        else:
+            # x dphi = H^{-1} (x^2 y / 2 dx - (x^3 - e x)/4 dy)
+            self._put(self.kids, l, m - 1, {(2, 1): Fraction(1, 2)}, _DX)
+            self._put(self.kids, l, m - 1, {(3, 0): Fraction(-1, 4), (1, 0): Fraction(e, 4)},
+                      _DY)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +569,7 @@ _H_POWER_CACHE = {}
 
 
 def _h_power(spec, n: int) -> WeightedPoly:
-    key = (spec.name, n)
+    key = (spec.name, spec.s, spec.e, n)
     hit = _H_POWER_CACHE.get(key)
     if hit is None:
         hit = spec.h_poly ** n
@@ -780,23 +775,22 @@ class ChainResult:
     all_zero_up_to: int | None = None
 
 
-def _ext_items_from_q(q: ExtElem, w: OneForm, spec):
-    """Bucket form of q * w for the next reduction stage."""
-    a_lv = _wp_to_levels(spec, w.a)
-    b_lv = _wp_to_levels(spec, w.b)
+def _ext_items_from_q(q: ExtElem, w: OneForm):
+    """Bucket form of the raw product q * w for the next reduction stage.
+
+    The product is not normal-formed here: Reducer.run normal-forms its input.
+    """
     items = {}
     for (j, p), poly in q.entries.items():
         for (i, jy, kk), c in poly.terms.items():
             base_m = kk - p
-            for (src, tgt_idx) in ((a_lv, 0), (b_lv, 1)):
-                for m2, d2 in src.items():
-                    for (i2, j2), c2 in d2.items():
-                        prod = _nf_split(spec, {(i + i2, jy + j2): c * c2})
-                        for dk, dd in prod.items():
-                            key = (j, base_m + m2 + dk)
-                            items.setdefault(key, ({}, {}))
-                            for (ii, jj), cc in dd.items():
-                                _xy_add(items[key][tgt_idx], ii, jj, cc)
+            for tgt_idx, src in ((0, w.a), (1, w.b)):
+                for (i2, j2, k2), c2 in src.terms.items():
+                    key = (j, base_m + k2)
+                    slot = items.get(key)
+                    if slot is None:
+                        slot = items[key] = ({}, {})
+                    _xy_add(slot[tgt_idx], i + i2, jy + j2, c * c2)
     return {k: v for k, v in items.items() if v[0] or v[1]}
 
 
@@ -865,7 +859,7 @@ def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
             check_q_shape(q, k, n)
             if q.max_pole() > k:
                 raise ShapeError("H-pole exceeded the recursion depth cap")
-        items = _ext_items_from_q(q, w, spec)
+        items = _ext_items_from_q(q, w)
     return ChainResult(k=None, genfn=None, steps=steps, all_zero_up_to=k_max)
 
 

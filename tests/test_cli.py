@@ -29,6 +29,37 @@ def test_parse_one_form_grammar():
         parse_one_form("z dx")
 
 
+def test_parse_one_form_unsigned_coefficient():
+    w = parse_one_form("-x dy")
+    assert w.a.is_zero() and w.b == -X
+    w = parse_one_form("y dx - x dy")
+    assert w.a == Y and w.b == -X
+    w = parse_one_form("+ 2 * x^2 y dx - y^3 dx")
+    assert w.a == X**2 * Y * 2 - Y**3 and w.b.is_zero()
+    # the benchmark's explicit unit coefficient still parses
+    assert parse_one_form("1 x dy") == parse_one_form("x dy")
+
+
+@pytest.mark.parametrize("text", ["1/0 dx", "x^99999 dx", "y dx x dy", "y dx -", "x^ dx"])
+def test_parse_one_form_rejects(text):
+    with pytest.raises(ValidationError):
+        parse_one_form(text)
+
+
+def test_parse_one_form_exponent_cap():
+    from melnikov.cli import MAX_EXPONENT
+    assert parse_one_form(f"x^{MAX_EXPONENT} dx").a == X**MAX_EXPONENT
+    with pytest.raises(ValidationError):
+        parse_one_form(f"y^{MAX_EXPONENT + 1} dy")
+
+
+def test_zero_denominator_is_validation_error(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "melnikov", "--ham", "eight-loop",
+                    "--annulus", "exterior", "--form", "1/0 dx")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_melnikov_subcommand(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "melnikov", "--ham", "eight-loop",
                     "--annulus", "exterior", "--form", "y^3 dx")

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from melnikov import reduction as _red
 from melnikov.algebra import (
     WeightedPoly, OneForm, EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER,
     d, sigma, normal_form,
@@ -216,7 +218,7 @@ def test_phi_shift_invariance_of_chain():
     from melnikov.reduction import _ext_items_from_q
     if base.k is not None and base.k >= 2:
         q1 = base.steps[0].q.subst_phi_shift(c)
-        items = _ext_items_from_q(q1, w, EIGHT_LOOP)
+        items = _ext_items_from_q(q1, w)
         red = Reducer(EIGHT_LOOP, fold_sigma1=True).run(items)
         from melnikov.reduction import _residue_laurent
         for lvl in range(1, 8):
@@ -258,3 +260,100 @@ def test_constrained_k2_exterior_shape():
         res.genfn.check_shape()
         for step in res.steps[:-1]:
             check_q_shape(step.q, step.k, 3)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the memoized reducer over random extended one-forms
+# ---------------------------------------------------------------------------
+
+_coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_xy = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 4)), _coef, max_size=3)
+_items = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
+                         st.tuples(_xy, _xy), min_size=1, max_size=3)
+_configs = st.sampled_from([(True, "refined"), (False, "refined"), (True, "plain")])
+_specs = st.sampled_from([EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER])
+
+
+def _sum_items(x, y):
+    out = {}
+    for src in (x, y):
+        for lm, (a, b) in src.items():
+            sa, sb = out.setdefault(lm, ({}, {}))
+            for dst, part in ((sa, a), (sb, b)):
+                for key, c in part.items():
+                    dst[key] = dst.get(key, 0) + c
+    return out
+
+
+def _reduce(spec, config, items):
+    fold, mode = config
+    return Reducer(spec, fold_sigma1=fold, mode=mode).run(items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs, config=_configs, a=_items, b=_items)
+def test_reducer_is_linear(spec, config, a, b):
+    ra, rb = _reduce(spec, config, a), _reduce(spec, config, b)
+    rab = _reduce(spec, config, _sum_items(a, b))
+    res = dict(ra.residue)
+    for key, c in rb.residue.items():
+        res[key] = res.get(key, 0) + c
+    assert rab.exact == ra.exact + rb.exact
+    assert rab.dh_coeff == ra.dh_coeff + rb.dh_coeff
+    assert rab.residue == {k: c for k, c in res.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs, config=_configs, items=_items)
+def test_reducer_output_reconstructs_input(spec, config, items):
+    red = _reduce(spec, config, items)
+    _check_ext_reconstruction(items, red, spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_specs, config=_configs, items=_items)
+def test_reducer_cold_and_warm_runs_agree(spec, config, items):
+    _red._clear_unit_cache()
+    cold = _reduce(spec, config, items)
+    warm = _reduce(spec, config, items)
+    assert cold.exact.canonical() == warm.exact.canonical()
+    assert cold.dh_coeff.canonical() == warm.dh_coeff.canonical()
+    assert cold.residue == warm.residue
+
+
+def _clear_reduction_caches():
+    _red._MONO_SPLIT_CACHE.clear()
+    _red._H_POWER_CACHE.clear()
+    _red._clear_unit_cache()
+
+
+def test_caches_keyed_on_spec_parameters():
+    """A spec that shares the eight-loop's name but not its e gets its own answers."""
+    from dataclasses import replace
+    from melnikov.algebra import _build_quartic
+    other = replace(EIGHT_LOOP, e=2, h_poly=_build_quartic("eight-loop", 1, 2))
+    w = OneForm(X**5 * Y**2 + Y**3 + X * Y, X**4 * Y)
+    _clear_reduction_caches()
+    cold = decompose_ext(w, other).to_json()
+    _clear_reduction_caches()
+    decompose_ext(w, EIGHT_LOOP)
+    assert decompose_ext(w, other).to_json() == cold
+    assert cold != decompose_ext(w, EIGHT_LOOP).to_json()
+
+
+def test_reducer_guard_caps_expansions(monkeypatch):
+    _red._clear_unit_cache()
+    monkeypatch.setattr(Reducer, "MAX_MOVES", 3)
+    with pytest.raises(ShapeError, match="failed to terminate"):
+        Reducer(EIGHT_LOOP, fold_sigma1=True).run(_form_items(OneForm(Y**7, X**5), EIGHT_LOOP))
+
+
+def test_reducer_guard_detects_a_cycle():
+    class Cycling(Reducer):
+        def _move_dy(self, l, m, i, j):
+            self._put(self.kids, l, m, {(i, j): Fraction(1, 2)}, _red._DY)
+
+    _red._clear_unit_cache()
+    with pytest.raises(ShapeError, match="failed to terminate"):
+        Cycling(EIGHT_LOOP, fold_sigma1=True).run({(0, 0): ({}, {(1, 0): Fraction(1)})})
+    _red._clear_unit_cache()  # Cycling shares the reducer's cache key
