@@ -73,11 +73,6 @@ class Oval:
             pts = pts[::-1]
         return pts
 
-    def arclength(self, n=2000):
-        pts = self.points(n)
-        d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
     def trace(self, step_angle=0.05, tol=1e-13):
         """Predictor-corrector continuation along the level set.
 
@@ -326,26 +321,30 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     return oval.orientation * val
 
 
+# {(Hamiltonian, annulus, which moment, epsabs, epsrel): {level: value}}, keyed
+# on everything that changes the value.
 _MOMENT_CACHE = {}
 
 
-def moment(spec, annulus, t, k, **kw) -> float:
-    key = (spec.name, annulus, float(t), "I", k)
-    if key not in _MOMENT_CACHE:
+def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
+    cache = _MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, k, epsabs, epsrel),
+                                     {})
+    key = float(t)
+    if key not in cache:
         ov = trace_oval(spec, t, annulus)
-        _MOMENT_CACHE[key] = integrate_form(ov, ("moment", k), **kw)
-    return _MOMENT_CACHE[key]
+        cache[key] = integrate_form(ov, ("moment", k), epsabs, epsrel)
+    return cache[key]
 
 
-def d4_basis(t, **kw):
+def d4_basis(t, epsabs=1e-13, epsrel=1e-11):
     """(I_-1, I_0, I_*) on the triangle oval at level t."""
-    key = (D4_TRIANGLE.name, "main", float(t), "basis")
-    if key not in _MOMENT_CACHE:
+    cache = _MOMENT_CACHE.setdefault((D4_TRIANGLE.name, "main", "basis", epsabs, epsrel), {})
+    key = float(t)
+    if key not in cache:
         ov = trace_oval(D4_TRIANGLE, t, "main")
-        _MOMENT_CACHE[key] = (integrate_form(ov, ("inv_x_moment",), **kw),
-                              integrate_form(ov, ("moment", 0), **kw),
-                              integrate_form(ov, ("star",), **kw))
-    return _MOMENT_CACHE[key]
+        cache[key] = tuple(integrate_form(ov, kind, epsabs, epsrel)
+                           for kind in (("inv_x_moment",), ("moment", 0), ("star",)))
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -547,7 +547,8 @@ def decompose(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> Decompos
 
 def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtDecomposition:
     """Decomposition with the sigma_1 residue folded into phi (exterior annuli)."""
-    red = Reducer(spec, fold_sigma1=True).run(_form_items(w, spec))
+    items = _form_items(w, spec)
+    red = Reducer(spec, fold_sigma1=True).run(items)
     alpha = _residue_h_poly(red.residue, 0)
     gamma = _residue_h_poly(red.residue, 2)
     if any(i == 1 for (_, _, i) in red.residue):
@@ -555,7 +556,7 @@ def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtD
     dec = ExtDecomposition(exact=red.exact, g=red.dh_coeff, alpha=alpha, gamma=gamma,
                            spec=spec)
     if check:
-        _check_ext_reconstruction(_form_items(w, spec), red, spec)
+        _check_ext_reconstruction(items, red, spec)
     if dec.g.phi_degree() > 1:
         raise ShapeError("first fold produced phi-degree above one")
     return dec
@@ -565,79 +566,81 @@ def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtD
 # Exact reconstruction of reducer output (the main internal oracle)
 # ---------------------------------------------------------------------------
 
-_H_POWER_CACHE = {}
-
-
-def _h_power(spec, n: int) -> WeightedPoly:
-    key = (spec.name, spec.s, spec.e, n)
-    hit = _H_POWER_CACHE.get(key)
-    if hit is None:
-        hit = spec.h_poly ** n
-        _H_POWER_CACHE[key] = hit
-    return hit
-
-
-def _ext_to_forms(red: Reduction, spec) -> dict:
-    """Expand d(exact) + q dH + residue into {(l): (A(x,y,Hconc), B)} forms.
-
-    Returns per phi-level pairs of WeightedPoly in x, y only, after clearing
-    H-poles by the global maximal pole and substituting the concrete H.
-    """
-    hx, hy = spec.grad()
-    pole = 0
-    grouped = {}  # (l, m) -> [A_xy, B_xy]
-
-    def emit(l, m, a: WeightedPoly, b: WeightedPoly):
-        nonlocal pole
-        slot = grouped.setdefault((l, m), [WeightedPoly.zero(), WeightedPoly.zero()])
-        slot[0] = slot[0] + a
-        slot[1] = slot[1] + b
-        pole = max(pole, -m if m < 0 else 0)
-
-    for (j, p), poly in red.exact.entries.items():
-        # d(phi^j H^{-p} poly) with H concrete inside poly handled via levels
-        for (i, jy, k), c in poly.terms.items():
-            m = k - p
-            u = WeightedPoly.mono(c, i, jy)
-            emit(j, m, u.dx(), u.dy())
-            if m:
-                emit(j, m - 1, u * hx * m, u * hy * m)
-            if j:
-                # j phi^(j-1) H^(m-1) u (2xy dx - (x^2-e) dy)/4
-                tw = WeightedPoly.mono(Fraction(j, 2), 1, 1)
-                uv = (WeightedPoly.mono(1, i=2) + WeightedPoly.const(-spec.e))
-                emit(j - 1, m - 1, u * tw, u * uv * Fraction(-j, 4))
-    for (j, p), poly in red.dh_coeff.entries.items():
-        for (i, jy, k), c in poly.terms.items():
-            m = k - p
-            u = WeightedPoly.mono(c, i, jy)
-            emit(j, m, u * hx, u * hy)
-    for (l, m, i), c in red.residue.items():
-        emit(l, m, WeightedPoly.mono(c, i, 1), WeightedPoly.zero())
-
+def _times_h(poly_xy, h_terms):
+    """x,y-dict times the concrete H, given as [(i, j, c)]."""
     out = {}
-    for (l, m), (a, b) in grouped.items():
-        ca, cb = out.setdefault(l, [WeightedPoly.zero(), WeightedPoly.zero()])
-        hp = _h_power(spec, m + pole)
-        out[l] = [ca + a * hp, cb + b * hp]
-    return out, pole
+    for (i, j), c in poly_xy.items():
+        for hi, hj, hc in h_terms:
+            key = (i + hi, j + hj)
+            out[key] = out.get(key, 0) + c * hc
+    return _nonzero(out)
 
 
 def _check_ext_reconstruction(items, red: Reduction, spec):
-    got, pole = _ext_to_forms(red, spec)
-    h = spec.h_poly
-    want = {}
-    for (l, m), (a, b) in items.items():
-        wa = WeightedPoly({(i, j, 0): c for (i, j), c in a.items()})
-        wb = WeightedPoly({(i, j, 0): c for (i, j), c in b.items()})
-        hp = _h_power(spec, m + pole)
-        ca, cb = want.setdefault(l, [WeightedPoly.zero(), WeightedPoly.zero()])
-        want[l] = [ca + wa * hp, cb + wb * hp]
-    levels = set(got) | set(want)
-    for l in levels:
-        ga, gb = got.get(l, [WeightedPoly.zero(), WeightedPoly.zero()])
-        wa, wb = want.get(l, [WeightedPoly.zero(), WeightedPoly.zero()])
-        if not (ga - wa).is_zero() or not (gb - wb).is_zero():
+    """Raise ShapeError unless d(exact) + q dH + residue equals the input items.
+
+    The identity is proved over the concrete H at every phi-level, with phi
+    formal and d phi = (2 x y dx - (x^2 - e) dy) / 4H.  The difference
+    d(exact) + q dH + residue - items is collected at phi^l H^m as a pair of
+    x,y-dicts D_m (dx and dy parts); then sum_m D_m H^(m - m_min), with m_min
+    the lowest power on either side, is expanded by Horner in the concrete H.
+    Q[x, y] is an integral domain, so the identity holds iff every coefficient
+    of that expansion is zero.  Neither the reducer's normal form nor its
+    caches are used.
+    """
+    h_terms = [(i, j, c) for (i, j, _), c in spec.h_poly.terms.items()]
+    hx, hy = ([(i, j, c) for (i, j, _), c in g.terms.items()] for g in spec.grad())
+    e = spec.e
+    diff = {}  # phi-level l -> {H-power m: (dx part, dy part)}
+
+    def slot(l, m):
+        return diff.setdefault(l, {}).setdefault(m, ({}, {}))
+
+    def add_dh(l, m, i, j, c):
+        """c x^i y^j dH at phi^l H^m."""
+        a, b = slot(l, m)
+        for grad, dst in ((hx, a), (hy, b)):
+            for gi, gj, gc in grad:
+                key = (i + gi, j + gj)
+                dst[key] = dst.get(key, 0) + c * gc
+
+    for (l, p), poly in red.exact.entries.items():
+        for (i, j, k), c in poly.terms.items():
+            # d(phi^l H^m u) = phi^l H^m du + m phi^l H^(m-1) u dH
+            #                  + l phi^(l-1) H^(m-1) u (x y/2 dx - (x^2 - e)/4 dy)
+            m = k - p
+            a, b = slot(l, m)
+            if i:
+                a[(i - 1, j)] = a.get((i - 1, j), 0) + c * i
+            if j:
+                b[(i, j - 1)] = b.get((i, j - 1), 0) + c * j
+            if m:
+                add_dh(l, m - 1, i, j, c * m)
+            if l:
+                a, b = slot(l - 1, m - 1)
+                a[(i + 1, j + 1)] = a.get((i + 1, j + 1), 0) + c * Fraction(l, 2)
+                b[(i + 2, j)] = b.get((i + 2, j), 0) - c * Fraction(l, 4)
+                b[(i, j)] = b.get((i, j), 0) + c * Fraction(l * e, 4)
+    for (l, p), poly in red.dh_coeff.entries.items():
+        for (i, j, k), c in poly.terms.items():
+            add_dh(l, k - p, i, j, c)
+    for (l, m, i), c in red.residue.items():
+        a = slot(l, m)[0]
+        a[(i, 1)] = a.get((i, 1), 0) + c
+    for (l, m), parts in items.items():
+        for src, dst in zip(parts, slot(l, m)):
+            for key, c in src.items():
+                dst[key] = dst.get(key, 0) - c
+
+    for l, buckets in diff.items():
+        acc = ({}, {})
+        for m in range(max(buckets), min(buckets) - 1, -1):
+            acc = tuple(_times_h(part, h_terms) for part in acc)
+            for part, d in zip(acc, buckets.get(m, ({}, {}))):
+                for key, c in d.items():
+                    if c:
+                        part[key] = part.get(key, 0) + c
+        if any(c for part in acc for c in part.values()):
             raise ShapeError(f"reduction does not reconstruct its input at phi-level {l}")
 
 

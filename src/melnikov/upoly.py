@@ -158,16 +158,6 @@ class Poly:
             c = -c
         return Poly([a / c for a in self.coeffs])
 
-    def ord_at(self, a) -> int:
-        """Vanishing order at x=a (len(coeffs) if zero polynomial)."""
-        if not self.coeffs:
-            return len(self.coeffs) + 10**6
-        sh = self.shift(a)
-        for i, c in enumerate(sh.coeffs):
-            if c != 0:
-                return i
-        return len(sh.coeffs)
-
     def rational_roots(self):
         """All rational roots with multiplicity; returns (roots, remaining_factor)."""
         p = self
@@ -402,40 +392,6 @@ def normalize_coeff_vector(polys):
     if lead is not None and lead.coeffs[-1] < 0:
         polys = [-p for p in polys]
     return polys
-
-
-def exact_linsolve(matrix, rhs):
-    """Solve M x = rhs exactly over Fraction; returns one solution or None.
-
-    matrix: list of rows (lists of Fraction), rhs: list of Fraction.
-    """
-    m = [list(map(_frac, row)) + [_frac(b)] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1 if m else 0
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][-1]
-    return x
 
 
 def exact_nullspace(matrix, ncols):

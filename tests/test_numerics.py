@@ -169,3 +169,15 @@ def test_period_estimate_reasonable():
     ov = trace_oval(EIGHT_LOOP, 0.1, "interior_right")
     T = _period_estimate(ov)
     assert 1.0 < T < 20.0
+
+
+def test_moment_caches_keyed_on_tolerances():
+    """A value cached at loose tolerance is not returned for a later default call
+    (the loose values below differ from the default ones in the last digits)."""
+    from melnikov import numerics
+    numerics._MOMENT_CACHE.clear()
+    moment(EIGHT_LOOP, "exterior", 0.3, 0, epsabs=1e-3, epsrel=1e-3)
+    d4_basis(-3.0, epsabs=1e-4, epsrel=1e-4)
+    after = moment(EIGHT_LOOP, "exterior", 0.3, 0), d4_basis(-3.0)
+    numerics._MOMENT_CACHE.clear()
+    assert after == (moment(EIGHT_LOOP, "exterior", 0.3, 0), d4_basis(-3.0))

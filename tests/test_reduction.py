@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from melnikov import reduction as _red
 from melnikov.algebra import (
@@ -10,7 +11,7 @@ from melnikov.algebra import (
     d, sigma, normal_form,
 )
 from melnikov.reduction import (
-    Reducer, ShapeError, decompose, decompose_ext, francoise_chain,
+    Reducer, Reduction, ShapeError, decompose, decompose_ext, francoise_chain,
     ExtElem, _form_items, _check_ext_reconstruction, check_q_shape,
 )
 from melnikov.upoly import Poly
@@ -310,6 +311,70 @@ def test_reducer_output_reconstructs_input(spec, config, items):
     _check_ext_reconstruction(items, red, spec)
 
 
+def test_oracle_rejects_input_below_the_reduction_pole():
+    """H^-1 x dx - x dx is not zero, so the zero reduction does not reconstruct it."""
+    items = {(0, -1): ({(1, 0): 1}, {}), (0, 0): ({(1, 0): -1}, {})}
+    zero = Reduction(exact=ExtElem(), dh_coeff=ExtElem(), residue={})
+    with pytest.raises(ShapeError, match="phi-level 0"):
+        _check_ext_reconstruction(items, zero, EIGHT_LOOP)
+
+
+_ext_key = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 5),
+                     st.integers(0, 4))
+_fresh_keys = {
+    "exact": _ext_key,
+    "dh_coeff": _ext_key,
+    "residue": st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2)),
+    "items": st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 1),
+                       st.integers(0, 5), st.integers(0, 4)),
+}
+
+
+def _perturb(red, items, part, key, delta):
+    """(red, items) with delta added to one coefficient of the named part."""
+    if part == "items":
+        l, m, dxdy, i, j = key
+        items = {lm: (dict(a), dict(b)) for lm, (a, b) in items.items()}
+        xy = items.setdefault((l, m), ({}, {}))[dxdy]
+        xy[(i, j)] = xy.get((i, j), 0) + delta
+        return red, items
+    if part == "residue":
+        res = dict(red.residue)
+        res[key] = res.get(key, 0) + delta
+        return replace(red, residue=res), items
+    elem = ExtElem(getattr(red, part).entries)
+    elem.add_term(*key, delta)
+    return replace(red, **{part: elem}), items
+
+
+def _coefficient_keys(red, items, part):
+    if part == "items":
+        return [(l, m, dxdy, i, j) for (l, m), ab in items.items()
+                for dxdy, xy in enumerate(ab) for (i, j) in xy]
+    if part == "residue":
+        return list(red.residue)
+    return [(l, k - p, i, j) for (l, p), poly in getattr(red, part).entries.items()
+            for (i, j, k) in poly.terms]
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=_specs, config=_configs, items=_items,
+       part=st.sampled_from(sorted(_fresh_keys)), delta=_coef.filter(bool), data=st.data())
+def test_oracle_rejects_one_perturbed_coefficient(spec, config, items, part, delta, data):
+    """Changing any one coefficient of exact, q, residue or the input is caught."""
+    red = _reduce(spec, config, items)
+    _check_ext_reconstruction(items, red, spec)
+    keys = _coefficient_keys(red, items, part)
+    if keys and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(keys))
+    else:
+        key = data.draw(_fresh_keys[part])
+    assume(not (part == "exact" and key == (0, 0, 0, 0)))  # d(constant) = 0
+    bad_red, bad_items = _perturb(red, items, part, key, delta)
+    with pytest.raises(ShapeError, match="does not reconstruct"):
+        _check_ext_reconstruction(bad_items, bad_red, spec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=_specs, config=_configs, items=_items)
 def test_reducer_cold_and_warm_runs_agree(spec, config, items):
@@ -323,13 +388,11 @@ def test_reducer_cold_and_warm_runs_agree(spec, config, items):
 
 def _clear_reduction_caches():
     _red._MONO_SPLIT_CACHE.clear()
-    _red._H_POWER_CACHE.clear()
     _red._clear_unit_cache()
 
 
 def test_caches_keyed_on_spec_parameters():
     """A spec that shares the eight-loop's name but not its e gets its own answers."""
-    from dataclasses import replace
     from melnikov.algebra import _build_quartic
     other = replace(EIGHT_LOOP, e=2, h_poly=_build_quartic("eight-loop", 1, 2))
     w = OneForm(X**5 * Y**2 + Y**3 + X * Y, X**4 * Y)
