@@ -150,10 +150,6 @@ class WeightedPoly:
         return WeightedPoly({(i, j, k - 1): c * k
                              for (i, j, k), c in self.terms.items() if k})
 
-    def y_antiderivative(self) -> "WeightedPoly":
-        return WeightedPoly({(i, j + 1, k): c / (j + 1)
-                             for (i, j, k), c in self.terms.items()})
-
     def subst_h(self, h_poly: "WeightedPoly") -> "WeightedPoly":
         """Replace the symbol H by a concrete polynomial in x, y."""
         out = WeightedPoly.zero()
@@ -180,17 +176,6 @@ class WeightedPoly:
         for (i, j, k), c in self.terms.items():
             acc += float(c) * x**i * y**j * (h**k if k else 1.0)
         return acc
-
-    def as_h_poly(self):
-        """Coefficients in H for a polynomial free of x and y, low order first."""
-        from .upoly import Poly
-        ks = [k for (i, j, k) in self.terms]
-        if any(i or j for (i, j, k) in self.terms):
-            raise ValueError("polynomial depends on x or y")
-        coeffs = [Fraction(0)] * ((max(ks) + 1) if ks else 0)
-        for (_, _, k), c in self.terms.items():
-            coeffs[k] = c
-        return Poly(coeffs)
 
     # -- printing ----------------------------------------------------------
     def sorted_terms(self):
@@ -289,12 +274,6 @@ class HamiltonianSpec:
                 + WeightedPoly.mono(Fraction(4, s), k=1)
                 + WeightedPoly.mono(Fraction(-2, s), j=2))
 
-    def g0(self) -> WeightedPoly:
-        """The polynomial (x^2 - e) y / 4 closing x y dx = dG0 + H dphi."""
-        if self.kind != "quartic":
-            raise ValueError(f"{self.name} has no phi closure")
-        return WeightedPoly({(2, 1, 0): Fraction(1, 4), (0, 1, 0): Fraction(-self.e, 4)})
-
     def grad(self):
         return self.h_poly.dx(), self.h_poly.dy()
 
@@ -381,10 +360,6 @@ def normal_form(p: WeightedPoly, spec: HamiltonianSpec) -> WeightedPoly:
             else:
                 work.pop(m, None)
     return out
-
-
-def normal_form_form(w: OneForm, spec: HamiltonianSpec) -> OneForm:
-    return OneForm(normal_form(w.a, spec), normal_form(w.b, spec))
 
 
 def d(g: WeightedPoly, spec: HamiltonianSpec) -> OneForm:

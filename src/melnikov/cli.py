@@ -135,6 +135,9 @@ def _cmd_decompose(args, out_base):
 
 def _cmd_melnikov(args, out_base):
     spec = SPECS[args.ham]
+    if spec.kind != "quartic":
+        raise ValidationError("melnikov applies to the quartic family; "
+                              f"use the d4 subcommand for {args.ham}")
     form_text = _resolve_form(args)
     w = parse_one_form(form_text)
     config = {"cmd": "melnikov", "ham": args.ham, "annulus": args.annulus,

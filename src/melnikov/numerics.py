@@ -243,14 +243,6 @@ def _integrand_functions(oval: Oval, integrand):
                 rc = r * np.cos(theta)
                 return 2.0 * rc * rc * oval.smooth_factor(x) / x
             return F
-        if kind == "log_moment":
-            k = integrand[1]
-
-            def F(theta):
-                x = oval.x_of(theta)
-                rc = r * np.cos(theta)
-                return 2.0 * x**k * math.log(x) * rc * rc * oval.smooth_factor(x)
-            return F
         if kind == "star":
             def F(theta):
                 x = oval.x_of(theta)
@@ -305,8 +297,7 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     import warnings
     from scipy.integrate import IntegrationWarning
     if isinstance(integrand, tuple) and isinstance(integrand[0], str) \
-            and integrand[0] in ("inv_x_moment", "log_moment", "star",
-                                 "d4_deriv_star", "d4_deriv_moment"):
+            and integrand[0] in ("inv_x_moment", "star", "d4_deriv_star", "d4_deriv_moment"):
         if oval.x_lo <= 0:
             raise NumericsError("integrand singular on or inside the oval")
     F = _integrand_functions(oval, integrand)

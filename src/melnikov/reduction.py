@@ -11,7 +11,9 @@ The iteration that produces the first nonvanishing generating function
 multiplies the dH-coefficient of the previous step back onto the original
 perturbation and reduces again.  The reduction is linear, so the reducer
 reduces each unit monomial once and builds every stage as a sparse sum of
-cached entries.
+cached entries.  That driver (UnitReducer) and the exact reconstruction
+oracle (check_reconstruction) serve the triangle family too, which supplies
+only its moves and its ring data.
 """
 from __future__ import annotations
 
@@ -223,14 +225,10 @@ class Reduction:
     residue: dict
 
 
-# A unit monomial phi^l H^m x^i y^j (dx | dy | dphi) is keyed (l, m, i, j, kind).
-_DX, _DY, _DPHI = 0, 1, 2
-
-# {(spec.name, spec.s, spec.e, fold_sigma1, mode): {unit key: (exact, q, residue)}}
-# where exact and q map (l, m, i, j) and residue maps (l, m, i) to the
-# coefficient in the full reduction of that single unit monomial.
-# The cache is cleared when a run starts with more than MAX_UNIT_CACHE_TERMS
-# terms stored (a benchmark chain settles near 21k).
+# {family cache key: {unit key: (exact, q, residue)}} where exact, q and
+# residue are the nonzero coefficient dicts of the full reduction of that
+# single unit monomial.  The cache is cleared when a run starts with more
+# than MAX_UNIT_CACHE_TERMS terms stored (a benchmark chain settles near 21k).
 _UNIT_CACHE = {}
 _unit_cache_terms = 0
 MAX_UNIT_CACHE_TERMS = 200_000
@@ -240,15 +238,6 @@ def _clear_unit_cache():
     global _unit_cache_terms
     _UNIT_CACHE.clear()
     _unit_cache_terms = 0
-
-
-def _ext_from_terms(terms) -> ExtElem:
-    """{(l, m, i, j): c} -> ExtElem; (l, m) -> (l, max(0, -m)) is injective."""
-    out = ExtElem()
-    for (l, m, i, j), c in terms.items():
-        poly = out.entries.setdefault((l, max(0, -m)), WeightedPoly())
-        poly.terms[(i, j, max(0, m))] = c
-    return out
 
 
 def _add_scaled(dst, src, c):
@@ -261,51 +250,37 @@ def _nonzero(d):
     return {key: v for key, v in d.items() if v}
 
 
-class Reducer:
-    """Rewriting of extended one-forms over a quartic Hamiltonian.
+class UnitReducer:
+    """Memoized driver that rewrites one-forms of a log-extended ring into
+    d(exact) + q dF + residue.
 
-    The reduction is linear, so each normal-form unit monomial is reduced
-    once: its entry (exact, q, residue) is its own move plus the cached
+    The reduction is linear, so each unit monomial is reduced once per
+    process: its entry (exact, q, residue) is its own move plus the cached
     entries of the unit monomials that move produces, scaled.  A run is the
-    sparse sum of the entries of its input's monomials.
-
-    mode "refined" keeps H-poles in the dH-coefficient as shallow as the
-    structure theory predicts; mode "plain" replaces every W dphi by
-    H^{-1} W (x y/2 dx - (x^2-e)/4 dy), which is simpler but deepens poles
-    by one at each phi-step (useful to exhibit the raw expansion shape).
+    sparse sum of the entries of its input's monomials.  A family supplies
+    `cache_key` (everything its answers depend on) and the moves: a unit key
+    ends with an index into `MOVES`, and the named method, called with the
+    rest of the key, writes its own terms into the sinks Q (exact), q and
+    res and the monomials it produces into kids.
     """
 
     MAX_MOVES = 2_000_000
 
-    def __init__(self, spec: HamiltonianSpec, fold_sigma1: bool, mode: str = "refined"):
-        if spec.kind != "quartic":
-            raise ValueError("reducer requires a quartic-family Hamiltonian")
-        self.spec = spec
-        self.fold = fold_sigma1
-        self.mode = mode
-        self.s, self.e = spec.s, spec.e
-
-    def run(self, items) -> Reduction:
-        """items: {(l, m): (xy_dict_A, xy_dict_B)} meaning phi^l H^m (A dx + B dy)."""
+    def reduce_units(self, units):
+        """{unit key: coeff} -> (exact, q, residue) as nonzero coefficient dicts."""
         if _unit_cache_terms > MAX_UNIT_CACHE_TERMS:
             _clear_unit_cache()
-        memo = _UNIT_CACHE.setdefault((self.spec.name, self.s, self.e, self.fold, self.mode), {})
-        units = {}
-        for (l, m), (a, b) in items.items():
-            self._put(units, l, m, a, _DX)
-            self._put(units, l, m, b, _DY)
-        exact, q, res = {}, {}, {}
+        memo = _UNIT_CACHE.setdefault(self.cache_key, {})
+        parts = ({}, {}, {})
         for key, c in units.items():
             if not c:
                 continue
             entry = memo.get(key)
             if entry is None:
                 entry = self._fill(memo, key)
-            _add_scaled(exact, entry[0], c)
-            _add_scaled(q, entry[1], c)
-            _add_scaled(res, entry[2], c)
-        return Reduction(exact=_ext_from_terms(_nonzero(exact)),
-                         dh_coeff=_ext_from_terms(_nonzero(q)), residue=_nonzero(res))
+            for part, src in zip(parts, entry):
+                _add_scaled(part, src, c)
+        return tuple(map(_nonzero, parts))
 
     def _fill(self, memo, root):
         """Cache the entry of `root` and of every uncached descendant, post-order."""
@@ -343,9 +318,50 @@ class Reducer:
     def _expand(self, key):
         """One move on a unit monomial: ((exact, q, residue), {child unit: coeff})."""
         self.Q, self.q, self.res, self.kids = {}, {}, {}, {}
-        l, m, i, j, kind = key
-        (self._move_dx, self._move_dy, self._move_dphi)[kind](l, m, i, j)
+        getattr(self, self.MOVES[key[-1]])(*key[:-1])
         return (self.Q, self.q, self.res), _nonzero(self.kids)
+
+
+# A unit monomial phi^l H^m x^i y^j (dx | dy | dphi) is keyed (l, m, i, j, kind).
+_DX, _DY, _DPHI = 0, 1, 2
+
+
+def _ext_from_terms(terms) -> ExtElem:
+    """{(l, m, i, j): c} -> ExtElem; (l, m) -> (l, max(0, -m)) is injective."""
+    out = ExtElem()
+    for (l, m, i, j), c in terms.items():
+        poly = out.entries.setdefault((l, max(0, -m)), WeightedPoly())
+        poly.terms[(i, j, max(0, m))] = c
+    return out
+
+
+class Reducer(UnitReducer):
+    """Rewriting of extended one-forms over a quartic Hamiltonian.
+
+    Every x^4 is normal-formed away, W dphi keeps H-poles in the
+    dH-coefficient as shallow as the structure theory predicts, and with
+    fold_sigma1 the sigma_1 residue folds into the next phi power.  The
+    cache key is (spec.name, spec.s, spec.e, fold_sigma1).
+    """
+
+    MOVES = ("_move_dx", "_move_dy", "_move_dphi")
+
+    def __init__(self, spec: HamiltonianSpec, fold_sigma1: bool):
+        if spec.kind != "quartic":
+            raise ValueError("reducer requires a quartic-family Hamiltonian")
+        self.spec = spec
+        self.fold = fold_sigma1
+        self.s, self.e = spec.s, spec.e
+        self.cache_key = (spec.name, spec.s, spec.e, fold_sigma1)
+
+    def run(self, items) -> Reduction:
+        """items: {(l, m): (xy_dict_A, xy_dict_B)} meaning phi^l H^m (A dx + B dy)."""
+        units = {}
+        for (l, m), (a, b) in items.items():
+            self._put(units, l, m, a, _DX)
+            self._put(units, l, m, b, _DY)
+        exact, q, res = self.reduce_units(units)
+        return Reduction(exact=_ext_from_terms(exact), dh_coeff=_ext_from_terms(q), residue=res)
 
     # -- individual moves on one unit monomial -----------------------------
 
@@ -408,15 +424,10 @@ class Reducer:
     def _move_dphi(self, l, m, i, j):
         s, e = self.s, self.e
         if i == 0 and j == 0:
-            # pure function of H: fold into the next phi power (in plain mode
-            # too, where routing it through the moment form would cycle forever)
+            # pure function of H: fold into the next phi power
             self.Q[(l + 1, m, 0, 0)] = Fraction(1, l + 1)
             if m:
                 self.q[(l + 1, m - 1, 0, 0)] = Fraction(-m, l + 1)
-        elif self.mode == "plain":
-            self._put(self.kids, l, m - 1, {(i + 1, j + 1): Fraction(1, 2)}, _DX)
-            self._put(self.kids, l, m - 1, {(i + 2, j): Fraction(-1, 4),
-                                            (i, j): Fraction(e, 4)}, _DY)
         elif j >= 1:
             # divide by y and use y dphi = x dx - (x^2 - e)/(4H) dH
             self._put(self.kids, l, m, {(i + 1, j - 1): Fraction(1)}, _DX)
@@ -566,82 +577,115 @@ def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtD
 # Exact reconstruction of reducer output (the main internal oracle)
 # ---------------------------------------------------------------------------
 
-def _times_h(poly_xy, h_terms):
-    """x,y-dict times the concrete H, given as [(i, j, c)]."""
+@dataclass(frozen=True)
+class LogRing:
+    """The concrete data of a family's log-extended ring that the oracle uses.
+
+    f is the concrete F and df its differential as (dx part, dy part), both
+    x,y-dicts; logs holds, for each log generator g, (shift, dx part, dy part)
+    with dg = F^shift (dx part dx + dy part dy).  mismatch is the error
+    message, formatted with the exponents of the failing level.
+    """
+    f: dict
+    df: tuple
+    logs: tuple
+    mismatch: str
+
+
+def _xy_mul(a, b):
+    """Product of two x,y-dicts."""
     out = {}
-    for (i, j), c in poly_xy.items():
-        for hi, hj, hc in h_terms:
-            key = (i + hi, j + hj)
-            out[key] = out.get(key, 0) + c * hc
+    for (i, j), c in a.items():
+        for (bi, bj), bc in b.items():
+            key = (i + bi, j + bj)
+            out[key] = out.get(key, 0) + c * bc
     return _nonzero(out)
 
 
-def _check_ext_reconstruction(items, red: Reduction, spec):
-    """Raise ShapeError unless d(exact) + q dH + residue equals the input items.
+def check_reconstruction(ring: LogRing, exact, q, residue, items):
+    """Raise ShapeError unless d(exact) + q dF + residue equals the input items.
 
-    The identity is proved over the concrete H at every phi-level, with phi
-    formal and d phi = (2 x y dx - (x^2 - e) dy) / 4H.  The difference
-    d(exact) + q dH + residue - items is collected at phi^l H^m as a pair of
-    x,y-dicts D_m (dx and dy parts); then sum_m D_m H^(m - m_min), with m_min
-    the lowest power on either side, is expanded by Horner in the concrete H.
-    Q[x, y] is an integral domain, so the identity holds iff every coefficient
-    of that expansion is zero.  Neither the reducer's normal form nor its
+    exact and q are iterables of (levels, n0, terms), terms of ((i, j, k), c),
+    meaning the functions c g^levels F^(n0 + k) x^i y^j with g the log
+    generators; residue and items are iterables of (levels, n, (A, B)),
+    meaning the one-forms g^levels F^n (A dx + B dy).  The logs are formal,
+    so the identity must hold at every level.  There the difference
+    d(exact) + q dF + residue - items is collected as a pair of x,y-dicts D_n
+    (dx and dy parts) per F-power n; then sum_n D_n F^(n - n_min), with n_min
+    the lowest power on either side, is expanded by Horner in the concrete F.
+    Q[x, 1/x, y] is an integral domain, so the identity holds iff every
+    coefficient of that expansion is zero.  No reducer's rewriting rules or
     caches are used.
     """
-    h_terms = [(i, j, c) for (i, j, _), c in spec.h_poly.terms.items()]
-    hx, hy = ([(i, j, c) for (i, j, _), c in g.terms.items()] for g in spec.grad())
-    e = spec.e
-    diff = {}  # phi-level l -> {H-power m: (dx part, dy part)}
+    diff = {}  # levels -> {F-power n: (dx part, dy part)}
 
-    def slot(l, m):
-        return diff.setdefault(l, {}).setdefault(m, ({}, {}))
+    def slot(lv, n):
+        return diff.setdefault(lv, {}).setdefault(n, ({}, {}))
 
-    def add_dh(l, m, i, j, c):
-        """c x^i y^j dH at phi^l H^m."""
-        a, b = slot(l, m)
-        for grad, dst in ((hx, a), (hy, b)):
-            for gi, gj, gc in grad:
-                key = (i + gi, j + gj)
-                dst[key] = dst.get(key, 0) + c * gc
+    def add_times(lv, n, form, i, j, c):
+        """c x^i y^j form at g^lv F^n, form a pair of x,y-dicts."""
+        for dst, poly in zip(slot(lv, n), form):
+            for (pi, pj), pc in poly.items():
+                key = (i + pi, j + pj)
+                dst[key] = dst.get(key, 0) + c * pc
 
-    for (l, p), poly in red.exact.entries.items():
-        for (i, j, k), c in poly.terms.items():
-            # d(phi^l H^m u) = phi^l H^m du + m phi^l H^(m-1) u dH
-            #                  + l phi^(l-1) H^(m-1) u (x y/2 dx - (x^2 - e)/4 dy)
-            m = k - p
-            a, b = slot(l, m)
+    for lv, n0, terms in exact:
+        # d(g^lv F^n u) = g^lv F^n du + n g^lv F^(n-1) u dF
+        #                 + sum_r lv_r g^(lv - e_r) u dg_r
+        lowered = [(lv[:r] + (lv[r] - 1,) + lv[r + 1:], lv[r], shift, form)
+                   for r, (shift, *form) in enumerate(ring.logs) if lv[r]]
+        for (i, j, k), c in terms:
+            n = n0 + k
+            a, b = slot(lv, n)
             if i:
                 a[(i - 1, j)] = a.get((i - 1, j), 0) + c * i
             if j:
                 b[(i, j - 1)] = b.get((i, j - 1), 0) + c * j
-            if m:
-                add_dh(l, m - 1, i, j, c * m)
-            if l:
-                a, b = slot(l - 1, m - 1)
-                a[(i + 1, j + 1)] = a.get((i + 1, j + 1), 0) + c * Fraction(l, 2)
-                b[(i + 2, j)] = b.get((i + 2, j), 0) - c * Fraction(l, 4)
-                b[(i, j)] = b.get((i, j), 0) + c * Fraction(l * e, 4)
-    for (l, p), poly in red.dh_coeff.entries.items():
-        for (i, j, k), c in poly.terms.items():
-            add_dh(l, k - p, i, j, c)
-    for (l, m, i), c in red.residue.items():
-        a = slot(l, m)[0]
-        a[(i, 1)] = a.get((i, 1), 0) + c
-    for (l, m), parts in items.items():
-        for src, dst in zip(parts, slot(l, m)):
+            if n:
+                add_times(lv, n - 1, ring.df, i, j, c * n)
+            for low, power, shift, form in lowered:
+                add_times(low, n + shift, form, i, j, c * power)
+    for lv, n0, terms in q:
+        for (i, j, k), c in terms:
+            add_times(lv, n0 + k, ring.df, i, j, c)
+    for lv, n, parts in residue:
+        for src, dst in zip(parts, slot(lv, n)):
+            for key, c in src.items():
+                dst[key] = dst.get(key, 0) + c
+    for lv, n, parts in items:
+        for src, dst in zip(parts, slot(lv, n)):
             for key, c in src.items():
                 dst[key] = dst.get(key, 0) - c
 
-    for l, buckets in diff.items():
+    for lv, buckets in diff.items():
         acc = ({}, {})
-        for m in range(max(buckets), min(buckets) - 1, -1):
-            acc = tuple(_times_h(part, h_terms) for part in acc)
-            for part, d in zip(acc, buckets.get(m, ({}, {}))):
+        for n in range(max(buckets), min(buckets) - 1, -1):
+            acc = tuple(_xy_mul(part, ring.f) for part in acc)
+            for part, d in zip(acc, buckets.get(n, ({}, {}))):
                 for key, c in d.items():
                     if c:
                         part[key] = part.get(key, 0) + c
         if any(c for part in acc for c in part.values()):
-            raise ShapeError(f"reduction does not reconstruct its input at phi-level {l}")
+            raise ShapeError(ring.mismatch.format(*lv))
+
+
+def _check_ext_reconstruction(items, red: Reduction, spec):
+    """check_reconstruction over the concrete H, with phi formal and
+    d phi = (2 x y dx - (x^2 - e) dy) / 4H."""
+    def xy(p):
+        return {(i, j): c for (i, j, _), c in p.terms.items()}
+
+    def terms(elem):
+        return [((l,), -p, poly.terms.items()) for (l, p), poly in elem.entries.items()]
+
+    ring = LogRing(f=xy(spec.h_poly), df=tuple(map(xy, spec.grad())),
+                   logs=((-1, {(1, 1): Fraction(1, 2)},
+                          {(2, 0): Fraction(-1, 4), (0, 0): Fraction(spec.e, 4)}),),
+                   mismatch="reduction does not reconstruct its input at phi-level {0}")
+    check_reconstruction(
+        ring, terms(red.exact), terms(red.dh_coeff),
+        [((l,), m, ({(i, 1): c}, {})) for (l, m, i), c in red.residue.items()],
+        [((l,), m, parts) for (l, m), parts in items.items()])
 
 
 # ---------------------------------------------------------------------------

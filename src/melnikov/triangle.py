@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import OneForm
-from .reduction import ShapeError
+from .reduction import (LogRing, ShapeError, UnitReducer, _add_scaled, _nonzero, _xy_add,
+                        _xy_mul, check_reconstruction)
 from .upoly import Poly, RatFn, normalize_coeff_vector, poly_gcd, ratfn_nullvector
 
 # df = FX dx + FY dy for f = x y^2 - x^3 + 6 x^2 - 9 x
@@ -26,25 +27,6 @@ _WLX = {(1, 1): Fraction(2)}
 _WLY = {(1, 0): Fraction(6), (2, 0): Fraction(-2)}
 # f itself as an x,y-polynomial dict
 _F = {(1, 2): Fraction(1), (3, 0): Fraction(-1), (2, 0): Fraction(6), (1, 0): Fraction(-9)}
-
-
-def _xy_add(dst, m, j, c):
-    if c == 0:
-        return
-    key = (m, j)
-    s = dst.get(key, Fraction(0)) + c
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
-def _xy_mul(a, b):
-    out = {}
-    for (m1, j1), c1 in a.items():
-        for (m2, j2), c2 in b.items():
-            _xy_add(out, m1 + m2, j1 + j2, c1 * c2)
-    return out
 
 
 def _f_power(p: int):
@@ -198,13 +180,6 @@ class D4Elem:
         return f"D4Elem({self.canonical()})"
 
 
-def d4elem_from_poly(poly_xy) -> D4Elem:
-    e = D4Elem()
-    for (m, j), c in poly_xy.items():
-        e.add_term(0, 0, 0, m, j, c)
-    return e
-
-
 # ---------------------------------------------------------------------------
 # The reducer
 # ---------------------------------------------------------------------------
@@ -216,194 +191,142 @@ class D4Reduction:
     residue: dict       # (a, b, p, m) -> coeff, with m in {-1, 0, 1}, of x^m y dx
 
 
-class D4Reducer:
+# A unit monomial L^a X^b f^p x^m y^j (dx | dy) is keyed (a, b, p, m, j, kind);
+# the balanced form L^a f^p (x - 1) y dx is keyed (a, 0, p, _BALANCED).
+_DX, _DY, _BALANCED = 0, 1, 2
+
+
+class D4Reducer(UnitReducer):
     """Rewrites extension-ring one-forms into d(exact) + q df + residue.
 
     The residue is canonical: only x^m y dx with m in {-1, 0, 1}, possibly
     multiplied by prefactors L^a X^b f^p.  Everything else is absorbed by
     the y-peel x y^2 = f + x (x-3)^2, the moment rewrite derived from
     d(x^k y^3) together with the df route for y^2 dy, and the logarithmic
-    primitives of 1/x.
+    primitives of 1/x.  The triangle is one fixed curve, so one cache key
+    serves every run.
     """
 
-    MAX_ROUNDS = 200_000
+    MOVES = ("_move_dx", "_move_dy", "_move_balanced")
+    cache_key = ("d4-triangle",)
 
-    def run(self, items) -> D4Reduction:
-        """items: {(a, b, p): (xy_dx, xy_dy)} with xy dicts {(m, j): c}."""
-        self.dx = {}
-        self.dy = {}
-        self.Q = D4Elem()
-        self.q = D4Elem()
-        self.res = {}
-        for (key, (adx, ady)) in items.items():
-            for (m, j), c in adx.items():
-                self._push(self.dx, key, m, j, c)
-            for (m, j), c in ady.items():
-                self._push(self.dy, key, m, j, c)
-        rounds = 0
-        while self.dx or self.dy:
-            key = max(list(self.dx) + list(self.dy))
-            xy = self.dy.pop(key, None)
-            if xy:
-                self._move_dy(key, xy)
-            xy = self.dx.pop(key, None)
-            if xy:
-                self._move_dx(key, xy)
-            rounds += 1
-            if rounds > self.MAX_ROUNDS:
-                raise ShapeError("triangle reducer failed to terminate")
-        return D4Reduction(exact=self.Q, df_coeff=self.q, residue=dict(self.res))
+    def run(self, items):
+        """items {(a, b, p): (xy_dx, xy_dy)} -> (exact, q, residue) coefficient
+        dicts keyed (a, b, p, m, j), (a, b, p, m, j) and (a, b, p, m)."""
+        units = {}
+        for (a, b, p), parts in items.items():
+            for kind, xy in enumerate(parts):
+                for (m, j), c in xy.items():
+                    self._add(units, (a, b, p, m, j, kind), c)
+        return self.reduce_units(units)
+
+    def _push(self, a, b, p, xy, kind, scale=1):
+        """Add scale * L^a X^b f^p xy (dx | dy) to the children."""
+        for (m, j), c in xy.items():
+            self._add(self.kids, (a, b, p, m, j, kind), c * scale)
 
     @staticmethod
-    def _push(buckets, key, m, j, c):
-        if c == 0:
-            return
-        d = buckets.setdefault(key, {})
-        _xy_add(d, m, j, c)
-        if not d:
-            buckets.pop(key, None)
+    def _add(sink, key, c):
+        sink[key] = sink.get(key, 0) + c
 
-    def _push_dict(self, buckets, key, xy, scale=Fraction(1)):
-        for (m, j), c in xy.items():
-            self._push(buckets, key, m, j, c * scale)
-
-    def _emit_d(self, key, u_xy, scale=Fraction(1)):
+    def _emit_d(self, a, b, p, u_xy):
         """pi dU = d(pi U) - U d(pi) with pi = L^a X^b f^p."""
-        a, b, p = key
         for (m, j), c in u_xy.items():
-            self.Q.add_term(a, b, p, m, j, c * scale)
+            self._add(self.Q, (a, b, p, m, j), c)
+            if p:
+                self._add(self.q, (a, b, p - 1, m, j), -p * c)
         if a:
             # dL = f^{-1} (2xy dx + (6x - 2x^2) dy)
-            k2 = (a - 1, b, p - 1)
-            self._push_dict(self.dx, k2, _xy_mul(u_xy, _WLX), -a * scale)
-            self._push_dict(self.dy, k2, _xy_mul(u_xy, _WLY), -a * scale)
+            self._push(a - 1, b, p - 1, _xy_mul(u_xy, _WLX), _DX, -a)
+            self._push(a - 1, b, p - 1, _xy_mul(u_xy, _WLY), _DY, -a)
         if b:
-            k2 = (a, b - 1, p)
-            self._push_dict(self.dx, k2, {(m - 1, j): c for (m, j), c in u_xy.items()},
-                            -b * scale)
-        if p:
-            for (m, j), c in u_xy.items():
-                self.q.add_term(a, b, p - 1, m, j, -p * c * scale)
+            self._push(a, b - 1, p, {(m - 1, j): c for (m, j), c in u_xy.items()}, _DX, -b)
 
-    def _move_dy(self, key, xy):
-        prim = {}
-        px = {}
-        for (m, j), c in xy.items():
-            _xy_add(prim, m, j + 1, c / (j + 1))
-            if m:
-                _xy_add(px, m - 1, j + 1, c * Fraction(m, j + 1))
-        self._emit_d(key, prim)
-        self._push_dict(self.dx, key, px, Fraction(-1))
+    def _move_dy(self, a, b, p, m, j):
+        self._emit_d(a, b, p, {(m, j + 1): Fraction(1, j + 1)})
+        if m:
+            self._push(a, b, p, {(m - 1, j + 1): Fraction(-m, j + 1)}, _DX)
 
-    def _move_dx(self, key, xy):
-        a, b, p = key
-        for (m, j), c in xy.items():
-            if j >= 2:
-                # x^m y^j = f x^(m-1) y^(j-2) + x^m (x-3)^2 y^(j-2)
-                self._push(self.dx, (a, b, p + 1), m - 1, j - 2, c)
-                self._push(self.dx, key, m + 2, j - 2, c)
-                self._push(self.dx, key, m + 1, j - 2, -6 * c)
-                self._push(self.dx, key, m, j - 2, 9 * c)
-            elif j == 0:
-                if m != -1:
-                    self._emit_d(key, {(m + 1, 0): c / (m + 1)})
-                else:
-                    # primitive is the logarithm of x
-                    denom = 1 + b
-                    self.Q.add_term(a, b + 1, p, 0, 0, c / denom)
-                    if a:
-                        k2 = (a - 1, b + 1, p - 1)
-                        self._push_dict(self.dx, k2, _WLX, -Fraction(a, denom) * c)
-                        self._push_dict(self.dy, k2, _WLY, -Fraction(a, denom) * c)
-                    if p:
-                        self.q.add_term(a, b + 1, p - 1, 0, 0, -Fraction(p, denom) * c)
-            else:  # j == 1
-                if -1 <= m <= 1:
-                    keyr = (a, b, p, m)
-                    cur = self.res.get(keyr, Fraction(0)) + c
-                    if cur:
-                        self.res[keyr] = cur
-                    else:
-                        self.res.pop(keyr, None)
-                elif m >= 2:
-                    # moment rewrite at k = m - 1 (division by 2k + 6)
-                    k = m - 1
-                    den = Fraction(2 * k + 6)
-                    self._push(self.dx, key, k, 1, c * Fraction(12 * k + 18) / den)
-                    self._push(self.dx, key, k - 1, 1, -c * Fraction(18 * k) / den)
-                    self._push(self.dx, (a, b, p + 1), k - 2, 1, -c * Fraction(2 * k - 3) / den)
-                    self._emit_d(key, {(k, 3): 2 * c / den})
-                    self.q.add_term(a, b, p, k - 1, 1, -3 * c / den)
-                else:
-                    # m <= -2: same rewrite solved for the f-weighted term,
-                    # k = m + 2, so the division is by 2k - 3 (never zero)
-                    k = m + 2
-                    den = Fraction(2 * k - 3)
-                    k2 = (a, b, p - 1)
-                    self._push(self.dx, k2, k + 1, 1, -c * Fraction(2 * k + 6) / den)
-                    self._push(self.dx, k2, k, 1, c * Fraction(12 * k + 18) / den)
-                    self._push(self.dx, k2, k - 1, 1, -c * Fraction(18 * k) / den)
-                    self._emit_d((a, b, p - 1), {(k, 3): 2 * c / den})
-                    self.q.add_term(a, b, p - 1, k - 1, 1, -3 * c / den)
+    def _move_dx(self, a, b, p, m, j):
+        if j >= 2:
+            # x^m y^j = f x^(m-1) y^(j-2) + x^m (x-3)^2 y^(j-2)
+            self._push(a, b, p + 1, {(m - 1, j - 2): Fraction(1)}, _DX)
+            self._push(a, b, p, {(m + 2, j - 2): Fraction(1), (m + 1, j - 2): Fraction(-6),
+                                 (m, j - 2): Fraction(9)}, _DX)
+        elif j == 0 and m != -1:
+            self._emit_d(a, b, p, {(m + 1, 0): Fraction(1, m + 1)})
+        elif j == 0:
+            # the primitive is the logarithm of x
+            c = Fraction(1, 1 + b)
+            self._add(self.Q, (a, b + 1, p, 0, 0), c)
+            if a:
+                self._push(a - 1, b + 1, p - 1, _WLX, _DX, -a * c)
+                self._push(a - 1, b + 1, p - 1, _WLY, _DY, -a * c)
+            if p:
+                self._add(self.q, (a, b + 1, p - 1, 0, 0), -p * c)
+        elif -1 <= m <= 1:
+            self.res[(a, b, p, m)] = Fraction(1)
+        elif m >= 2:
+            # moment rewrite at k = m - 1 (division by 2k + 6)
+            k = m - 1
+            den = Fraction(2 * k + 6)
+            self._push(a, b, p, {(k, 1): (12 * k + 18) / den, (k - 1, 1): -18 * k / den}, _DX)
+            self._push(a, b, p + 1, {(k - 2, 1): -(2 * k - 3) / den}, _DX)
+            self._emit_d(a, b, p, {(k, 3): 2 / den})
+            self._add(self.q, (a, b, p, k - 1, 1), -3 / den)
+        else:
+            # m <= -2: same rewrite solved for the f-weighted term,
+            # k = m + 2, so the division is by 2k - 3 (never zero)
+            k = m + 2
+            den = Fraction(2 * k - 3)
+            self._push(a, b, p - 1, {(k + 1, 1): -(2 * k + 6) / den,
+                                     (k, 1): (12 * k + 18) / den, (k - 1, 1): -18 * k / den}, _DX)
+            self._emit_d(a, b, p - 1, {(k, 3): 2 / den})
+            self._add(self.q, (a, b, p - 1, k - 1, 1), -3 / den)
 
-    # -- residue conversion ---------------------------------------------------
-
-    def _queue_conversion(self, a, p, r1):
-        """Queue the identity (x-1) y dx = d(x^2 y/3 - x y) + (1/6) f dL
-        multiplied by the prefactor L^a f^p with coefficient r1."""
-        w = {(2, 1): Fraction(1, 3), (1, 1): Fraction(-1)}
-        self._emit_d((a, 0, p), w, r1)
-        # (1/6) L^a f^(p+1) dL
+    def _move_balanced(self, a, b, p):
+        """L^a f^p (x-1) y dx = L^a f^p [d(x^2 y/3 - x y) + (1/6) f dL]."""
+        self._emit_d(a, 0, p, {(2, 1): Fraction(1, 3), (1, 1): Fraction(-1)})
+        # (1/6) L^a f^(p+1) dL = d(L^(a+1) f^(p+1)) / (6(a+1)) - (p+1) L^(a+1) f^p df / (6(a+1))
         den = Fraction(6 * (a + 1))
-        self.Q.add_term(a + 1, 0, p + 1, 0, 0, r1 / den)
-        self.q.add_term(a + 1, 0, p, 0, 0, -(p + 1) * r1 / den)
+        self._add(self.Q, (a + 1, 0, p + 1, 0, 0), 1 / den)
+        self._add(self.q, (a + 1, 0, p, 0, 0), -(p + 1) / den)
 
-    def convert_balanced(self):
-        """Repeatedly absorb balanced log-free residue slots into d() + q df.
 
-        A slot (a, 0, p) is balanced when it has no x^{-1} y term and
-        opposite coefficients on y dx and x y dx; the combination
-        (x-1) y dx has identically vanishing periods (the two lowest
-        moments agree) and converts exactly.  Slots carrying ln x are left
-        alone: the same combination against ln x IS the new period and is
-        not relatively exact.  Conversions spawn new work, so reduce and
-        rescan until no balanced slot remains.
-        """
-        for _ in range(64):
-            slots = sorted({(a, b, p) for (a, b, p, m) in self.res if b == 0})
-            queued = False
-            for (a, b, p) in slots:
-                rm1 = self.res.get((a, b, p, -1), Fraction(0))
-                r0 = self.res.get((a, b, p, 0), Fraction(0))
-                r1 = self.res.get((a, b, p, 1), Fraction(0))
-                if rm1 == 0 and r1 != 0 and r0 + r1 == 0:
-                    self.res.pop((a, b, p, 0), None)
-                    self.res.pop((a, b, p, 1), None)
-                    self._queue_conversion(a, p, r1)
-                    queued = True
-            if not queued:
-                return
-            rounds = 0
-            while self.dx or self.dy:
-                key = max(list(self.dx) + list(self.dy))
-                xy = self.dy.pop(key, None)
-                if xy:
-                    self._move_dy(key, xy)
-                xy = self.dx.pop(key, None)
-                if xy:
-                    self._move_dx(key, xy)
-                rounds += 1
-                if rounds > self.MAX_ROUNDS:
-                    raise ShapeError("triangle conversion failed to terminate")
-        raise ShapeError("balanced-residue conversion did not stabilize")
+def _d4_from_terms(terms) -> D4Elem:
+    """{(a, b, p, m, j): c} -> D4Elem."""
+    out = D4Elem()
+    for (a, b, p, m, j), c in terms.items():
+        out.parts.setdefault((a, b, p), {})[(m, j)] = c
+    return out
 
 
 def reduce_full(items) -> D4Reduction:
-    """Reduce and then absorb every balanced residue combination."""
+    """Reduce items {(a, b, p): (xy_dx, xy_dy)}, then absorb every balanced
+    residue combination.
+
+    A log-free slot L^a f^p is balanced when it has no x^{-1} y term and
+    opposite coefficients on y dx and x y dx; the combination (x-1) y dx has
+    identically vanishing periods (the two lowest moments agree) and
+    converts exactly.  Slots carrying ln x are left alone: the same
+    combination against ln x IS the new period and is not relatively exact.
+    Conversions leave new residues, so convert until no slot is balanced.
+    """
     red = D4Reducer()
-    out = red.run(items)
-    red.convert_balanced()
-    return D4Reduction(exact=red.Q, df_coeff=red.q, residue=dict(red.res))
+    exact, q, res = red.run(items)
+    for _ in range(64):
+        balanced = {(a, 0, p, _BALANCED): c for (a, b, p, m), c in res.items()
+                    if b == 0 and m == 1 and (a, 0, p, -1) not in res
+                    and res.get((a, 0, p, 0), 0) + c == 0}
+        if not balanced:
+            return D4Reduction(exact=_d4_from_terms(exact), df_coeff=_d4_from_terms(q),
+                               residue=res)
+        for (a, _, p, _) in balanced:
+            del res[(a, 0, p, 0)], res[(a, 0, p, 1)]
+        for part, new in zip((exact, q, res), red.reduce_units(balanced)):
+            _add_scaled(part, new, 1)
+        exact, q, res = map(_nonzero, (exact, q, res))
+    raise ShapeError("balanced-residue conversion did not stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +347,6 @@ class D4Periods:
 
     def is_zero(self):
         return not (self.i_m1 or self.i0 or self.istar)
-
-    def eval(self, t, I_m1, I0, Istar):
-        out = 0.0
-        for p, c in self.i_m1.items():
-            out += float(c) * t**p * I_m1
-        for p, c in self.i0.items():
-            out += float(c) * t**p * I0
-        for p, c in self.istar.items():
-            out += float(c) * t**p * Istar
-        return out
 
 
 def _lau_add(d, p, c):
@@ -686,62 +599,22 @@ def d4_chain(w: OneForm, check: bool = True) -> D4ChainResult:
 # Exact reconstruction oracle for the triangle reducer
 # ---------------------------------------------------------------------------
 
+_RING = LogRing(f=_F, df=(_FX, _FY),
+                logs=((-1, _WLX, _WLY), (0, {(-1, 0): Fraction(1)}, {})),
+                mismatch="triangle reduction does not reconstruct its input at level L^{0} lnx^{1}")
+
+
 def _check_d4_reconstruction(items, red: D4Reduction):
-    """d(exact) + q df + residue must reproduce the input exactly."""
-    contrib = {}  # (a, b) -> (dx xy-laurent, dy xy-laurent) pending f-clearing
+    """check_reconstruction over the concrete f, with L and X = ln x formal,
+    f dL = 2xy dx + (6x - 2x^2) dy and dX = dx / x."""
+    def terms(elem):
+        return [((a, b), p, [((m, j, 0), c) for (m, j), c in xy.items()])
+                for (a, b, p), xy in elem.parts.items()]
 
-    def emit(a, b, p, xy_dx, xy_dy, scale=Fraction(1)):
-        slot = contrib.setdefault((a, b), {})
-        for (m, j), c in xy_dx.items():
-            key = ("dx", p, m, j)
-            s = slot.get(key, Fraction(0)) + c * scale
-            if s:
-                slot[key] = s
-            else:
-                slot.pop(key, None)
-        for (m, j), c in xy_dy.items():
-            key = ("dy", p, m, j)
-            s = slot.get(key, Fraction(0)) + c * scale
-            if s:
-                slot[key] = s
-            else:
-                slot.pop(key, None)
-
-    for (a, b, p), xy in red.exact.parts.items():
-        du_dx, du_dy = {}, {}
-        for (m, j), c in xy.items():
-            if m:
-                _xy_add(du_dx, m - 1, j, c * m)
-            if j:
-                _xy_add(du_dy, m, j - 1, c * j)
-        emit(a, b, p, du_dx, du_dy)
-        if a:
-            emit(a - 1, b, p - 1, _xy_mul(xy, _WLX), _xy_mul(xy, _WLY), Fraction(a))
-        if b:
-            emit(a, b - 1, p, {(m - 1, j): c * b for (m, j), c in xy.items()}, {})
-        if p:
-            emit(a, b, p - 1, _xy_mul(xy, _FX), _xy_mul(xy, _FY), Fraction(p))
-    for (a, b, p), xy in red.df_coeff.parts.items():
-        emit(a, b, p, _xy_mul(xy, _FX), _xy_mul(xy, _FY))
-    for (a, b, p, m), c in red.residue.items():
-        emit(a, b, p, {(m, 1): c}, {})
-    for (a, b, p), (adx, ady) in items.items():
-        emit(a, b, p, adx, ady, Fraction(-1))
-
-    for (a, b), slot in contrib.items():
-        if not slot:
-            continue
-        # clear f- and x-poles and compare as honest polynomials
-        min_p = min(k[1] for k in slot)
-        acc_dx, acc_dy = {}, {}
-        for (kind, p, m, j), c in slot.items():
-            lifted = _xy_mul({(m, j): c}, _f_power(p - min_p))
-            tgt = acc_dx if kind == "dx" else acc_dy
-            for key, cc in lifted.items():
-                _xy_add(tgt, key[0], key[1], cc)
-        if acc_dx or acc_dy:
-            raise ShapeError(
-                f"triangle reduction does not reconstruct its input at level L^{a} lnx^{b}")
+    check_reconstruction(
+        _RING, terms(red.exact), terms(red.df_coeff),
+        [((a, b), p, ({(m, 1): c}, {})) for (a, b, p, m), c in red.residue.items()],
+        [((a, b), p, parts) for (a, b, p), parts in items.items()])
 
 
 # ---------------------------------------------------------------------------

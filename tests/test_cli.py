@@ -122,6 +122,16 @@ def test_validation_exit_code(capsys, tmp_path):
     assert data["error"]["kind"] == "validation"
 
 
+def test_melnikov_rejects_the_triangle_before_any_work(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "melnikov", "--ham", "d4-triangle",
+                    "--annulus", "main", "--form", "1 y dx")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "d4 subcommand" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_shape_error_exit_code(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "d4", "--form", "y dx")
     assert code == 3

@@ -191,25 +191,6 @@ def test_exterior_random_reconstruction_and_shapes():
         francoise_chain(w, EIGHT_LOOP, "exterior", k_max=3, check=True)
 
 
-def test_plain_mode_expansion_shape():
-    """phi^l w reduces with residue poles at most l - j at phi-level j."""
-    rng = random.Random(23)
-    for l in range(0, 4):
-        for _ in range(4):
-            w = rand_form(rng, 5)
-            items = {}
-            for (lv, m), (a, b) in _form_items(w, EIGHT_LOOP).items():
-                items[(lv + l, m)] = (a, b)
-            red = Reducer(EIGHT_LOOP, fold_sigma1=True, mode="plain").run(items)
-            _check_ext_reconstruction(items, red, EIGHT_LOOP)
-            m_in = w.weighted_degree()
-            for (lev, m, i), c in red.residue.items():
-                assert lev <= l
-                assert -m <= l - lev
-                # net weighted degree of the residue coefficient
-                assert i + 1 + 2 * m <= m_in + l - lev
-
-
 def test_phi_shift_invariance_of_chain():
     """Replacing phi by phi + c gives the same generating function."""
     w = OneForm(Y**3 + X * Y, WeightedPoly.zero())
@@ -271,7 +252,7 @@ _coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _xy = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 4)), _coef, max_size=3)
 _items = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
                          st.tuples(_xy, _xy), min_size=1, max_size=3)
-_configs = st.sampled_from([(True, "refined"), (False, "refined"), (True, "plain")])
+_configs = st.sampled_from([True, False])
 _specs = st.sampled_from([EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER])
 
 
@@ -286,9 +267,8 @@ def _sum_items(x, y):
     return out
 
 
-def _reduce(spec, config, items):
-    fold, mode = config
-    return Reducer(spec, fold_sigma1=fold, mode=mode).run(items)
+def _reduce(spec, fold, items):
+    return Reducer(spec, fold_sigma1=fold).run(items)
 
 
 @settings(max_examples=60, deadline=None)

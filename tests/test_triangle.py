@@ -1,6 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE
 from melnikov.reduction import ShapeError
@@ -218,3 +220,95 @@ def test_pf_matrix_shape():
     A = pf_matrix()
     assert A[2][1] == RatFn.const(-3)
     assert A[0][0].num == Poly([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Properties of the memoized triangle reducer over random extension-ring forms
+# ---------------------------------------------------------------------------
+
+_coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_mj = st.tuples(st.integers(-3, 4), st.integers(0, 4))
+_xy = st.dictionaries(_mj, _coef, max_size=2)
+_abp = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 1))
+_items = st.dictionaries(_abp, st.tuples(_xy, _xy), min_size=1, max_size=2)
+
+
+def _sum_items(x, y):
+    out = {}
+    for key, parts in list(x.items()) + list(y.items()):
+        for dst, src in zip(out.setdefault(key, ({}, {})), parts):
+            for mj, c in src.items():
+                dst[mj] = dst.get(mj, 0) + c
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_items, b=_items)
+def test_triangle_reducer_is_linear(a, b):
+    ra, rb = D4Reducer().run(a), D4Reducer().run(b)
+    for part_a, part_b, part_ab in zip(ra, rb, D4Reducer().run(_sum_items(a, b))):
+        total = dict(part_a)
+        for key, c in part_b.items():
+            total[key] = total.get(key, 0) + c
+        assert part_ab == {key: c for key, c in total.items() if c}
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=_items)
+def test_triangle_reduction_reconstructs_input(items):
+    _check_d4_reconstruction(items, reduce_full(items))
+
+
+_elem_key = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 1),
+                      st.integers(-3, 4), st.integers(0, 4))
+_fresh_keys = {
+    "exact": _elem_key,
+    "df_coeff": _elem_key,
+    "residue": st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 1),
+                         st.integers(-1, 1)),
+    "items": st.tuples(_abp, st.integers(0, 1), _mj),
+}
+
+
+def _perturb(red, items, part, key, delta):
+    """(red, items) with delta added to one coefficient of the named part."""
+    if part == "items":
+        abp, dxdy, mj = key
+        items = {k: (dict(a), dict(b)) for k, (a, b) in items.items()}
+        xy = items.setdefault(abp, ({}, {}))[dxdy]
+        xy[mj] = xy.get(mj, 0) + delta
+        return red, items
+    if part == "residue":
+        res = dict(red.residue)
+        res[key] = res.get(key, 0) + delta
+        return replace(red, residue=res), items
+    elem = D4Elem(getattr(red, part).parts)
+    elem.add_term(*key, delta)
+    return replace(red, **{part: elem}), items
+
+
+def _coefficient_keys(red, items, part):
+    if part == "items":
+        return [(abp, dxdy, mj) for abp, ab in items.items()
+                for dxdy, xy in enumerate(ab) for mj in xy]
+    if part == "residue":
+        return list(red.residue)
+    return [(*abp, *mj) for abp, xy in getattr(red, part).parts.items() for mj in xy]
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_items, part=st.sampled_from(sorted(_fresh_keys)),
+       delta=_coef.filter(bool), data=st.data())
+def test_triangle_oracle_rejects_one_perturbed_coefficient(items, part, delta, data):
+    """Changing any one coefficient of exact, q, residue or the input is caught."""
+    red = reduce_full(items)
+    _check_d4_reconstruction(items, red)
+    keys = _coefficient_keys(red, items, part)
+    if keys and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(keys))
+    else:
+        key = data.draw(_fresh_keys[part])
+    assume(not (part == "exact" and key == (0, 0, 0, 0, 0)))  # d(constant) = 0
+    bad_red, bad_items = _perturb(red, items, part, key, delta)
+    with pytest.raises(ShapeError, match="does not reconstruct"):
+        _check_d4_reconstruction(bad_items, bad_red)
