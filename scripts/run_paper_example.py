@@ -7,7 +7,7 @@ import numpy as np
 from melnikov.algebra import OneForm, WeightedPoly, D4_TRIANGLE
 from melnikov.numerics import (d4_ode_residual, fit_istar_asymptotics,
                                shooting_oracle)
-from melnikov.triangle import d4_chain, d4_fuchs_ode, d4_local_exponents
+from melnikov.triangle import d4_canonical, d4_chain, d4_fuchs_ode, d4_local_exponents
 
 
 def main():
@@ -15,9 +15,9 @@ def main():
     w = OneForm(WeightedPoly.zero(),
                 WeightedPoly.const(-2) + x - x**2 * Fraction(1, 2))
     res = d4_chain(w)
-    print("Q1 =", res.Q1.canonical())
-    print("q1 =", res.q1.canonical())
-    print("q2 =", res.q2.canonical())
+    print("Q1 =", d4_canonical(res.Q1))
+    print("q1 =", d4_canonical(res.q1))
+    print("q2 =", d4_canonical(res.q2))
     print("M3 :", res.m3.to_json())
     ode = d4_fuchs_ode(res.m3)
     print("equation:", ode.render())

@@ -6,21 +6,20 @@ from fractions import Fraction
 
 from melnikov.algebra import EIGHT_LOOP, OneForm, WeightedPoly
 from melnikov.numerics import count_zeros, zero_bound
-from melnikov.reduction import decompose_ext, francoise_chain
-from melnikov.upoly import exact_nullspace
+from melnikov.reduction import francoise_chain, m1_zero_forms
 
 
 def random_forms(n, seed, count, constrained):
     rng = random.Random(seed)
-    monos = [(i, j, w) for i in range(n + 1) for j in range(n + 1) for w in (0, 1)
-             if i + j <= n]
-    basis = []
-    for (i, j, w) in monos:
-        p = WeightedPoly.mono(1, i, j)
-        basis.append(OneForm(p, WeightedPoly.zero()) if w == 0
-                     else OneForm(WeightedPoly.zero(), p))
+    out = []
     if not constrained:
-        out = []
+        monos = [(i, j, w) for i in range(n + 1) for j in range(n + 1) for w in (0, 1)
+                 if i + j <= n]
+        basis = []
+        for (i, j, w) in monos:
+            p = WeightedPoly.mono(1, i, j)
+            basis.append(OneForm(p, WeightedPoly.zero()) if w == 0
+                         else OneForm(WeightedPoly.zero(), p))
         while len(out) < count:
             w = OneForm(WeightedPoly.zero(), WeightedPoly.zero())
             for f in basis:
@@ -29,27 +28,14 @@ def random_forms(n, seed, count, constrained):
             if not w.is_zero() and w.weighted_degree() == n:
                 out.append(w)
         return out
-    rows = []
-    width = 0
-    residues = []
-    for f in basis:
-        dec = decompose_ext(f, EIGHT_LOOP)
-        residues.append((dec.alpha, dec.gamma))
-        width = max(width, len(dec.alpha.coeffs), len(dec.gamma.coeffs))
-    for (al, ga) in residues:
-        rows.append(list(al.coeffs) + [Fraction(0)] * (width - len(al.coeffs))
-                    + list(ga.coeffs) + [Fraction(0)] * (width - len(ga.coeffs)))
-    mat = [[rows[r][c] for r in range(len(rows))] for c in range(2 * width)]
-    null = exact_nullspace(mat, len(rows))
-    out = []
+    family = m1_zero_forms(EIGHT_LOOP, n)
     while len(out) < count:
         w = OneForm(WeightedPoly.zero(), WeightedPoly.zero())
-        for v in null:
+        for g in family:
             if rng.random() < 0.5:
                 cc = Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
-                for cv, f in zip(v, basis):
-                    if cv and cc:
-                        w = w + f.scale(cv * cc)
+                if cc:
+                    w = w + g.scale(cc)
         if not w.is_zero() and w.weighted_degree() == n:
             out.append(w)
     return out

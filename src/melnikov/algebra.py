@@ -188,7 +188,7 @@ class WeightedPoly:
             return "0"
         parts = []
         for (i, j, k), c in self.sorted_terms():
-            body = "".join((f"x^{i} " if i > 1 else "x " if i == 1 else "",
+            body = "".join((f"x^{i} " if i not in (0, 1) else "x " if i else "",
                             f"y^{j} " if j > 1 else "y " if j == 1 else "",
                             f"H^{k} " if k > 1 else "H " if k == 1 else "")).strip()
             cs = f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,12 +20,14 @@ from .monodromy import LoopWord, PairingError, WordError, homology_class, pair_w
 from .numerics import (NumericsError, count_zeros, integrate_form,
                        shooting_oracle, trace_oval, zero_bound)
 from .reduction import ShapeError, decompose, francoise_chain
-from .triangle import D4ChainError, d4_chain, d4_fuchs_ode, d4_local_exponents
+from .triangle import (D4ChainError, d4_canonical, d4_chain, d4_fuchs_ode,
+                       d4_local_exponents)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 class ValidationError(ValueError):
@@ -80,6 +83,22 @@ def parse_one_form(text: str) -> OneForm:
     return OneForm(a, b)
 
 
+def format_one_form(w: OneForm) -> str:
+    """Render a one-form in the grammar that parse_one_form reads."""
+    parts = []
+    for poly, basis in ((w.a, "dx"), (w.b, "dy")):
+        for (i, j, k), c in poly.sorted_terms():
+            if k:
+                raise ValidationError("the one-form grammar has no H symbol")
+            body = " ".join(s for s in (
+                f"x^{i}" if i > 1 else "x" if i else "",
+                f"y^{j}" if j > 1 else "y" if j else "") if s)
+            term = " ".join(s for s in (str(abs(c)), body, basis) if s)
+            sign = "-" if c < 0 else "+" if parts else ""
+            parts.append(f"{sign} {term}" if parts else sign + term)
+    return " ".join(parts)
+
+
 def _parse_grid(text: str):
     vals = [float(v) for v in text.split(",") if v.strip()]
     if not vals:
@@ -106,6 +125,21 @@ def _job_dir(base: Path, config: dict) -> Path:
 
 def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _first_genfn(spec, w, annulus, task):
+    """(generating function, its order) of the chain of w; a ValidationError
+    when every order it tests vanishes."""
+    if spec.kind == "quartic":
+        chain = francoise_chain(w, spec, annulus)
+        gf, k = chain.genfn, chain.k
+    else:
+        res = d4_chain(w)
+        gf, k = (None, None) if res.integrable else (res.m3, 3)
+    if gf is None:
+        raise ValidationError("perturbation is integrable to the tested order; "
+                              f"nothing to {task}")
+    return gf, k
 
 
 def _write_csv(path: Path, rows):
@@ -172,9 +206,9 @@ def _cmd_d4(args, out_base):
         roots, rem = d4_local_exponents(ode, 0)
         exps = [str(r) for r in roots]
     result = {
-        "Q1": res.Q1.canonical(),
-        "q1": res.q1.canonical(),
-        "q2": res.q2.canonical(),
+        "Q1": d4_canonical(res.Q1),
+        "q1": d4_canonical(res.q1),
+        "q2": d4_canonical(res.q2),
         "M3": res.m3.to_json(),
         "integrable": res.integrable,
         "ode": ode.to_json() if ode else None,
@@ -214,17 +248,7 @@ def _cmd_compare(args, out_base):
     config = {"cmd": "compare", "ham": args.ham, "annulus": args.annulus,
               "form": form_text, "t_grid": args.t_grid, "eps_grid": args.eps_grid}
     job = _job_dir(out_base, config)
-    if spec.kind == "quartic":
-        chain = francoise_chain(w, spec, args.annulus)
-        gf = chain.genfn
-        sym_k = chain.k
-    else:
-        res = d4_chain(w)
-        gf = res.m3
-        sym_k = 3 if not res.integrable else None
-    if gf is None:
-        raise ValidationError("perturbation is integrable to the tested order; "
-                              "nothing to compare")
+    gf, sym_k = _first_genfn(spec, w, args.annulus, "compare")
     samp = shooting_oracle(spec, w, args.annulus, grid, eps_grid=eps, symbolic=gf)
     rows = []
     for t, sv, bv in zip(samp.t_grid, samp.symbolic, samp.shooting):
@@ -247,15 +271,8 @@ def _cmd_zeros(args, out_base):
               "form": form_text, "interval": args.interval, "samples": args.samples}
     job = _job_dir(out_base, config)
     lo, hi = (float(v) for v in args.interval.split(":"))
-    if spec.kind == "quartic":
-        chain = francoise_chain(w, spec, args.annulus)
-        gf = chain.genfn
-        n, k = chain.genfn.n, chain.k
-        bound = zero_bound(spec, args.annulus, n, k)
-    else:
-        res = d4_chain(w)
-        gf = res.m3
-        bound = None
+    gf, k = _first_genfn(spec, w, args.annulus, "count")
+    bound = zero_bound(spec, args.annulus, gf.n, k) if spec.kind == "quartic" else None
     zc = count_zeros(gf, spec, args.annulus, (lo, hi), samples=args.samples,
                      bound=bound)
     result = {"count": zc.count, "brackets": zc.brackets, "bound": zc.bound}
@@ -363,6 +380,11 @@ def main(argv=None) -> int:
     except (NumericsError, PairingError) as exc:
         print(json.dumps({"error": {"kind": "numeric", "message": str(exc)}}))
         return EXIT_NUMERIC
+    except Exception as exc:  # a defect: report it as JSON, with its traceback
+        print(json.dumps({"error": {"kind": "internal",
+                                    "message": f"{type(exc).__name__}: {exc}",
+                                    "traceback": traceback.format_exc()}}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

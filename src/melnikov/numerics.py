@@ -73,70 +73,6 @@ class Oval:
             pts = pts[::-1]
         return pts
 
-    def trace(self, step_angle=0.05, tol=1e-13):
-        """Predictor-corrector continuation along the level set.
-
-        Steps along the normalized flow direction, adapting the step to the
-        local curvature, and projects back onto the level set with Newton
-        iterations in the gradient direction.
-        """
-        spec, t = self.spec, self.t
-        h = spec.h_poly
-
-        def H(x, y):
-            return h.eval_float(x, y)
-
-        def grad(x, y):
-            return (h.dx().eval_float(x, y), h.dy().eval_float(x, y))
-
-        def project(x, y):
-            for _ in range(30):
-                r = H(x, y) - t
-                if abs(r) < tol:
-                    return x, y
-                gx, gy = grad(x, y)
-                n2 = gx * gx + gy * gy
-                x -= r * gx / n2
-                y -= r * gy / n2
-            raise NumericsError("projection onto the level set failed")
-
-        hxx = h.dx().dx()
-        hxy = h.dx().dy()
-        hyy = h.dy().dy()
-
-        def curvature(x, y):
-            gx, gy = grad(x, y)
-            num = abs(hxx.eval_float(x, y) * gy * gy
-                      - 2 * hxy.eval_float(x, y) * gx * gy
-                      + hyy.eval_float(x, y) * gx * gx)
-            den = (gx * gx + gy * gy) ** 1.5
-            return num / den if den else 0.0
-
-        x0, y0 = self.x_hi, 0.0
-        x0, y0 = project(x0, y0)
-        pts = [(x0, y0)]
-        x, y = x0, y0
-        total = 0.0
-        max_steps = 200_000
-        for i in range(max_steps):
-            gx, gy = grad(x, y)
-            nx, ny = gy, -gx           # flow direction (H_y, -H_x)
-            nn = math.hypot(nx, ny)
-            nx, ny = nx / nn, ny / nn
-            if self.orientation < 0:
-                nx, ny = -nx, -ny
-            kap = curvature(x, y)
-            ds = min(max(step_angle / max(kap, 1e-9), 1e-4), 0.2)
-            x1, y1 = project(x + nx * ds, y + ny * ds)
-            total += math.hypot(x1 - x, y1 - y)
-            pts.append((x1, y1))
-            x, y = x1, y1
-            if i > 10 and math.hypot(x - x0, y - y0) < 1.5 * ds:
-                break
-        else:
-            raise NumericsError("oval tracing did not close")
-        return np.array(pts)
-
 
 def _a3_branch_data(spec: HamiltonianSpec, t: float, annulus: str):
     s, e = spec.s, spec.e

@@ -11,17 +11,19 @@ The iteration that produces the first nonvanishing generating function
 multiplies the dH-coefficient of the previous step back onto the original
 perturbation and reduces again.  The reduction is linear, so the reducer
 reduces each unit monomial once and builds every stage as a sparse sum of
-cached entries.  That driver (UnitReducer) and the exact reconstruction
-oracle (check_reconstruction) serve the triangle family too, which supplies
-only its moves and its ring data.
+cached entries.  That driver (UnitReducer), the ring element (ExtElem) and
+the exact reconstruction oracle (check_reconstruction) serve the triangle
+family too, which supplies only its moves, its dlog table and its ring data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 
 from .algebra import (HamiltonianSpec, OneForm, WeightedPoly, normal_form, sigma)
-from .upoly import Poly
+from .upoly import Poly, exact_nullspace
 
 
 class ShapeError(RuntimeError):
@@ -102,11 +104,14 @@ def _wp_to_levels(spec, p: WeightedPoly):
 # ---------------------------------------------------------------------------
 
 class ExtElem:
-    """Finite sum of phi^j H^(-p) * WeightedPoly terms.
+    """Finite sum of g^levels F^(-p) * WeightedPoly terms, g a family's log
+    generators and F its Hamiltonian.
 
-    Entries are keyed by (j, p) with j, p >= 0; when p > 0 the stored
-    polynomial contains no positive power of H, so the representation is
-    canonical and equality is decidable by direct comparison.
+    Entries are keyed (*levels, p) with every exponent >= 0: (j, p) for the
+    quartic phi^j H^-p, (a, b, p) for the triangle L^a (ln x)^b f^-p.  The H
+    slot of the stored polynomial holds the positive powers of F, and when
+    p > 0 it is empty, so the representation is canonical and equality is
+    decidable by direct comparison.
     """
 
     __slots__ = ("entries",)
@@ -114,29 +119,35 @@ class ExtElem:
     def __init__(self, entries=None):
         self.entries = {}
         if entries:
-            for (j, p), poly in entries.items():
-                self._accumulate(j, p, poly)
+            for key, poly in entries.items():
+                self._accumulate(key, poly)
 
-    def _accumulate(self, j, p, poly: WeightedPoly):
+    def _accumulate(self, key, poly: WeightedPoly):
+        levels, p = key[:-1], key[-1]
         for (i, jy, k), c in poly.terms.items():
-            net = k - p
-            self.add_term(j, net, i, jy, c)
+            self.add_term(*levels, k - p, i, jy, c)
 
-    def add_term(self, j, net_h, i, jy, c):
-        p = max(0, -net_h)
-        k = max(0, net_h)
-        key = (j, p)
-        cur = self.entries.get(key, WeightedPoly.zero())
-        cur = cur + WeightedPoly.mono(c, i, jy, k)
-        if cur.is_zero():
-            self.entries.pop(key, None)
+    def add_term(self, *key):
+        """add_term(*levels, n, i, j, c) adds c g^levels F^n x^i y^j."""
+        *levels, n, i, jy, c = key
+        entry = (*levels, max(0, -n))
+        poly = self.entries.get(entry)
+        if poly is None:
+            poly = self.entries[entry] = WeightedPoly()
+        mono = (i, jy, max(0, n))
+        s = poly.terms.get(mono, Fraction(0)) + c
+        if s:
+            poly.terms[mono] = s
         else:
-            self.entries[key] = cur
+            poly.terms.pop(mono, None)
+            if not poly.terms:
+                del self.entries[entry]
 
     @classmethod
     def from_poly(cls, p: WeightedPoly) -> "ExtElem":
+        """p at phi-level 0 of the quartic ring."""
         e = cls()
-        e._accumulate(0, 0, p)
+        e._accumulate((0, 0), p)
         return e
 
     @classmethod
@@ -150,48 +161,46 @@ class ExtElem:
         return isinstance(other, ExtElem) and self.entries == other.entries
 
     def __add__(self, other: "ExtElem") -> "ExtElem":
-        out = ExtElem()
-        for (j, p), poly in list(self.entries.items()) + list(other.entries.items()):
-            out._accumulate(j, p, poly)
+        out = ExtElem(self.entries)
+        for key, poly in other.entries.items():
+            out._accumulate(key, poly)
         return out
 
     def __neg__(self):
-        out = ExtElem()
-        for (j, p), poly in self.entries.items():
-            out._accumulate(j, p, -poly)
-        return out
+        return ExtElem({key: -poly for key, poly in self.entries.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, WeightedPoly)):
-            other = ExtElem.from_poly(other if isinstance(other, WeightedPoly)
-                                      else WeightedPoly.const(other))
+            return ExtElem({key: poly * other for key, poly in self.entries.items()})
         out = ExtElem()
-        for (j1, p1), q1 in self.entries.items():
-            for (j2, p2), q2 in other.entries.items():
-                out._accumulate(j1 + j2, p1 + p2, q1 * q2)
+        for k1, q1 in self.entries.items():
+            for k2, q2 in other.entries.items():
+                out._accumulate(tuple(map(add, k1, k2)), q1 * q2)
         return out
 
     __rmul__ = __mul__
 
     def phi_degree(self) -> int:
-        return max((j for (j, _) in self.entries), default=0)
+        """Highest power of the first log generator (phi, or the triangle's L)."""
+        return max((key[0] for key in self.entries), default=0)
 
     def max_pole(self) -> int:
-        return max((p for (_, p) in self.entries), default=0)
+        return max((key[-1] for key in self.entries), default=0)
 
-    def subst_phi_shift(self, c: Fraction) -> "ExtElem":
-        """Replace phi by phi + c (c an exact rational)."""
-        from math import comb
+    def subst_log_shift(self, r: int, c: Fraction) -> "ExtElem":
+        """Replace the log generator g_r by g_r + c (c an exact rational)."""
         out = ExtElem()
-        for (j, p), poly in self.entries.items():
-            for r in range(j + 1):
-                out._accumulate(r, p, poly * (comb(j, r) * c ** (j - r)))
+        for key, poly in self.entries.items():
+            for s in range(key[r] + 1):
+                out._accumulate(key[:r] + (s,) + key[r + 1:],
+                                poly * (comb(key[r], s) * c ** (key[r] - s)))
         return out
 
     def canonical(self) -> str:
+        """The quartic print form; triangle.d4_canonical prints the triangle's."""
         if not self.entries:
             return "0"
         parts = []
@@ -206,7 +215,7 @@ class ExtElem:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"ExtElem({self.canonical()})"
+        return f"ExtElem({self.entries!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +226,24 @@ class ExtElem:
 class Reduction:
     """Outcome of reducing an extended one-form.
 
-    exact and dh_coeff are the accumulated primitive and dH-coefficient;
-    residue maps (phi_level, h_power, sigma_index) to a rational coefficient.
+    exact and dh_coeff are the accumulated primitive and the coefficient of
+    dF; residue maps (*levels, n, i) to the rational coefficient of
+    g^levels F^n x^i y dx.
     """
     exact: ExtElem
     dh_coeff: ExtElem
     residue: dict
+
+
+def _ext_from_terms(terms) -> ExtElem:
+    """{(*levels, n, i, j): c} -> ExtElem; (levels, n) -> (levels, max(0, -n))
+    with F^max(0, n) in the H slot is injective."""
+    out = ExtElem()
+    for key, c in terms.items():
+        n, i, j = key[-3:]
+        poly = out.entries.setdefault(key[:-3] + (max(0, -n),), WeightedPoly())
+        poly.terms[(i, j, max(0, n))] = c
+    return out
 
 
 # {family cache key: {unit key: (exact, q, residue)}} where exact, q and
@@ -250,6 +271,11 @@ def _nonzero(d):
     return {key: v for key, v in d.items() if v}
 
 
+# A unit monomial g^levels F^n x^i y^j (dx | dy | family kind) is keyed
+# (*levels, n, i, j, kind).
+_DX, _DY = 0, 1
+
+
 class UnitReducer:
     """Memoized driver that rewrites one-forms of a log-extended ring into
     d(exact) + q dF + residue.
@@ -258,13 +284,29 @@ class UnitReducer:
     process: its entry (exact, q, residue) is its own move plus the cached
     entries of the unit monomials that move produces, scaled.  A run is the
     sparse sum of the entries of its input's monomials.  A family supplies
-    `cache_key` (everything its answers depend on) and the moves: a unit key
-    ends with an index into `MOVES`, and the named method, called with the
-    rest of the key, writes its own terms into the sinks Q (exact), q and
-    res and the monomials it produces into kids.
+    `cache_key` (everything its answers depend on), `DLOG` and the moves: a
+    unit key ends with an index into `MOVES`, and the named method, called
+    with the rest of the key, writes its own terms into the sinks Q (exact),
+    q and res and the monomials it produces into kids.  DLOG holds, for each
+    log generator g, the F-shift s and the (x,y-dict, unit kind) children of
+    dg = F^s sum(xy * kind).  A family whose rewriting needs it overrides
+    `_split`, which puts x,y-dicts into normal form.
     """
 
     MAX_MOVES = 2_000_000
+
+    def run(self, items) -> Reduction:
+        """items {(*levels, n): (A, B)}, meaning g^levels F^n (A dx + B dy)."""
+        exact, q, res = self.reduce_units(self._units(items))
+        return Reduction(exact=_ext_from_terms(exact), dh_coeff=_ext_from_terms(q),
+                         residue=res)
+
+    def _units(self, items):
+        units = {}
+        for key, parts in items.items():
+            for kind, xy in enumerate(parts):
+                self._put(units, key[:-1], key[-1], xy, kind)
+        return units
 
     def reduce_units(self, units):
         """{unit key: coeff} -> (exact, q, residue) as nonzero coefficient dicts."""
@@ -321,18 +363,46 @@ class UnitReducer:
         getattr(self, self.MOVES[key[-1]])(*key[:-1])
         return (self.Q, self.q, self.res), _nonzero(self.kids)
 
+    # -- helpers for the moves ---------------------------------------------
 
-# A unit monomial phi^l H^m x^i y^j (dx | dy | dphi) is keyed (l, m, i, j, kind).
-_DX, _DY, _DPHI = 0, 1, 2
+    def _split(self, xy):
+        """x,y-dict -> {F-power shift: x,y-dict} in normal form."""
+        return {0: xy}
+
+    def _put(self, sink, levels, n, xy, kind=None):
+        """Add g^levels F^n xy, split by `_split`, to an output part, or as
+        children of the given kind."""
+        for dk, d in self._split(xy).items():
+            head = levels + (n + dk,)
+            for (i, j), c in d.items():
+                key = head + (i, j) if kind is None else head + (i, j, kind)
+                sink[key] = sink.get(key, 0) + c
+
+    def _emit_d(self, levels, n, u_xy):
+        """Bookkeeping for the term pi dU with pi = g^levels F^n and U an
+        x,y-polynomial, by the product rule pi dU = d(pi U) - U d(pi).
+
+        With U = sum_dk F^dk u_dk from `_split`,
+        pi dU = sum_dk [ d(g^levels F^(n+dk) u_dk) - n g^levels F^(n-1+dk) u_dk dF
+                         - sum_r levels_r g^(levels - e_r) F^(n+dk) u_dk dg_r ].
+        """
+        lowered = [(levels[:r] + (levels[r] - 1,) + levels[r + 1:], levels[r], shift, kids)
+                   for r, (shift, kids) in enumerate(self.DLOG) if levels[r]]
+        for dk, u in self._split(u_xy).items():
+            for (i, j), c in u.items():
+                key = levels + (n + dk, i, j)
+                self.Q[key] = self.Q.get(key, 0) + c
+                if n:
+                    key = levels + (n - 1 + dk, i, j)
+                    self.q[key] = self.q.get(key, 0) - n * c
+                for low, power, shift, kids in lowered:
+                    for xy, kind in kids:
+                        for (ci, cj), cc in xy.items():
+                            key = low + (n + dk + shift, i + ci, j + cj, kind)
+                            self.kids[key] = self.kids.get(key, 0) - power * c * cc
 
 
-def _ext_from_terms(terms) -> ExtElem:
-    """{(l, m, i, j): c} -> ExtElem; (l, m) -> (l, max(0, -m)) is injective."""
-    out = ExtElem()
-    for (l, m, i, j), c in terms.items():
-        poly = out.entries.setdefault((l, max(0, -m)), WeightedPoly())
-        poly.terms[(i, j, max(0, m))] = c
-    return out
+_DPHI = 2
 
 
 class Reducer(UnitReducer):
@@ -341,10 +411,12 @@ class Reducer(UnitReducer):
     Every x^4 is normal-formed away, W dphi keeps H-poles in the
     dH-coefficient as shallow as the structure theory predicts, and with
     fold_sigma1 the sigma_1 residue folds into the next phi power.  The
-    cache key is (spec.name, spec.s, spec.e, fold_sigma1).
+    cache key is (spec.name, spec.s, spec.e, fold_sigma1); unit keys are
+    (l, m, i, j, dx|dy|dphi) for phi^l H^m x^i y^j.
     """
 
     MOVES = ("_move_dx", "_move_dy", "_move_dphi")
+    DLOG = ((0, (({(0, 0): 1}, _DPHI),)),)
 
     def __init__(self, spec: HamiltonianSpec, fold_sigma1: bool):
         if spec.kind != "quartic":
@@ -354,95 +426,61 @@ class Reducer(UnitReducer):
         self.s, self.e = spec.s, spec.e
         self.cache_key = (spec.name, spec.s, spec.e, fold_sigma1)
 
-    def run(self, items) -> Reduction:
-        """items: {(l, m): (xy_dict_A, xy_dict_B)} meaning phi^l H^m (A dx + B dy)."""
-        units = {}
-        for (l, m), (a, b) in items.items():
-            self._put(units, l, m, a, _DX)
-            self._put(units, l, m, b, _DY)
-        exact, q, res = self.reduce_units(units)
-        return Reduction(exact=_ext_from_terms(exact), dh_coeff=_ext_from_terms(q), residue=res)
+    def _split(self, xy):
+        return _nf_split(self.spec, xy)
 
     # -- individual moves on one unit monomial -----------------------------
 
-    def _put(self, sink, l, m, xy, kind=None):
-        """Normal-form xy and add it at phi^l H^m to an output part, or as
-        children of the given kind."""
-        for dk, d in _nf_split(self.spec, xy).items():
-            for (i, j), c in d.items():
-                key = (l, m + dk, i, j) if kind is None else (l, m + dk, i, j, kind)
-                sink[key] = sink.get(key, 0) + c
-
-    def _emit_d(self, l, m, u_xy):
-        """Bookkeeping for the term phi^l H^m dU with U an x,y-polynomial.
-
-        U is normal-formed first; with U = sum_dk H^dk u_dk the concrete
-        differential satisfies
-        phi^l H^m dU = sum_dk [ d(phi^l H^(m+dk) u_dk)
-                                - m phi^l H^(m-1+dk) u_dk dH
-                                - l phi^(l-1) H^(m+dk) u_dk dphi ].
-        """
-        for dk, u in _nf_split(self.spec, u_xy).items():
-            for (i, j), c in u.items():
-                key = (l, m + dk, i, j)
-                self.Q[key] = self.Q.get(key, 0) + c
-                if l:
-                    key = (l - 1, m + dk, i, j, _DPHI)
-                    self.kids[key] = self.kids.get(key, 0) - l * c
-                if m:
-                    key = (l, m - 1 + dk, i, j)
-                    self.q[key] = self.q.get(key, 0) - m * c
-
     def _move_dy(self, l, m, i, j):
         # phi^l H^m x^i y^j dy: integrate in y
-        self._emit_d(l, m, {(i, j + 1): Fraction(1, j + 1)})
+        self._emit_d((l,), m, {(i, j + 1): Fraction(1, j + 1)})
         if i:
-            self._put(self.kids, l, m, {(i - 1, j + 1): Fraction(-i, j + 1)}, _DX)
+            self._put(self.kids, (l,), m, {(i - 1, j + 1): Fraction(-i, j + 1)}, _DX)
 
     def _move_dx(self, l, m, i, j):
         s, e = self.s, self.e
         if j >= 2:
             lam = Fraction(1, i + 1 + 2 * j)
-            self._emit_d(l, m, {(i + 1, j): lam})
-            self._put(self.q, l, m, {(i + 1, j - 2): -lam * j})
-            self._put(self.kids, l, m, {(i + 2, j - 2): lam * s * e * j,
-                                        (i, j - 2): -lam * s * e * e * j}, _DX)
-            self._put(self.kids, l, m + 1, {(i, j - 2): lam * 4 * j}, _DX)
+            self._emit_d((l,), m, {(i + 1, j): lam})
+            self._put(self.q, (l,), m, {(i + 1, j - 2): -lam * j})
+            self._put(self.kids, (l,), m, {(i + 2, j - 2): lam * s * e * j,
+                                           (i, j - 2): -lam * s * e * e * j}, _DX)
+            self._put(self.kids, (l,), m + 1, {(i, j - 2): lam * 4 * j}, _DX)
         elif j == 0:
-            self._emit_d(l, m, {(i + 1, 0): Fraction(1, i + 1)})
+            self._emit_d((l,), m, {(i + 1, 0): Fraction(1, i + 1)})
         elif i == 3:
             # x^3 y dx = e sigma_1 + (1/s)(y dH - d(y^3/3))
-            self._put(self.kids, l, m, {(1, 1): Fraction(e)}, _DX)
-            self._put(self.q, l, m, {(0, 1): Fraction(1, s)})
-            self._emit_d(l, m, {(0, 3): Fraction(-1, 3 * s)})
+            self._put(self.kids, (l,), m, {(1, 1): Fraction(e)}, _DX)
+            self._put(self.q, (l,), m, {(0, 1): Fraction(1, s)})
+            self._emit_d((l,), m, {(0, 3): Fraction(-1, 3 * s)})
         elif i == 1 and self.fold:
-            self._emit_d(l, m, {(2, 1): Fraction(1, 4), (0, 1): Fraction(-e, 4)})
-            self._put(self.kids, l, m + 1, {(0, 0): Fraction(1)}, _DPHI)
+            self._emit_d((l,), m, {(2, 1): Fraction(1, 4), (0, 1): Fraction(-e, 4)})
+            self._put(self.kids, (l,), m + 1, {(0, 0): Fraction(1)}, _DPHI)
         else:
             self.res[(l, m, i)] = Fraction(1)
 
     def _move_dphi(self, l, m, i, j):
         s, e = self.s, self.e
         if i == 0 and j == 0:
-            # pure function of H: fold into the next phi power
-            self.Q[(l + 1, m, 0, 0)] = Fraction(1, l + 1)
-            if m:
-                self.q[(l + 1, m - 1, 0, 0)] = Fraction(-m, l + 1)
+            # pure function of H: fold into the next phi power; the dphi term
+            # of the product rule is this unit itself
+            self._emit_d((l + 1,), m, {(0, 0): Fraction(1, l + 1)})
+            del self.kids[(l, m, 0, 0, _DPHI)]
         elif j >= 1:
             # divide by y and use y dphi = x dx - (x^2 - e)/(4H) dH
-            self._put(self.kids, l, m, {(i + 1, j - 1): Fraction(1)}, _DX)
-            self._put(self.q, l, m - 1, {(i + 2, j - 1): Fraction(-1, 4),
-                                         (i, j - 1): Fraction(e, 4)})
+            self._put(self.kids, (l,), m, {(i + 1, j - 1): Fraction(1)}, _DX)
+            self._put(self.q, (l,), m - 1, {(i + 2, j - 1): Fraction(-1, 4),
+                                            (i, j - 1): Fraction(e, 4)})
         elif i >= 2:
             # x^i = e x^(i-2) + x^(i-2)(x^2 - e);
             # (x^2-e) dphi = y/(2sH) dH - dy/s
-            self._put(self.kids, l, m, {(i - 2, 0): Fraction(e)}, _DPHI)
-            self._put(self.q, l, m - 1, {(i - 2, 1): Fraction(1, 2 * s)})
-            self._put(self.kids, l, m, {(i - 2, 0): Fraction(-1, s)}, _DY)
+            self._put(self.kids, (l,), m, {(i - 2, 0): Fraction(e)}, _DPHI)
+            self._put(self.q, (l,), m - 1, {(i - 2, 1): Fraction(1, 2 * s)})
+            self._put(self.kids, (l,), m, {(i - 2, 0): Fraction(-1, s)}, _DY)
         else:
             # x dphi = H^{-1} (x^2 y / 2 dx - (x^3 - e x)/4 dy)
-            self._put(self.kids, l, m - 1, {(2, 1): Fraction(1, 2)}, _DX)
-            self._put(self.kids, l, m - 1, {(3, 0): Fraction(-1, 4), (1, 0): Fraction(e, 4)},
+            self._put(self.kids, (l,), m - 1, {(2, 1): Fraction(1, 2)}, _DX)
+            self._put(self.kids, (l,), m - 1, {(3, 0): Fraction(-1, 4), (1, 0): Fraction(e, 4)},
                       _DY)
 
 
@@ -567,10 +605,35 @@ def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtD
     dec = ExtDecomposition(exact=red.exact, g=red.dh_coeff, alpha=alpha, gamma=gamma,
                            spec=spec)
     if check:
-        _check_ext_reconstruction(items, red, spec)
+        check_reconstruction(quartic_ring(spec), items, red)
     if dec.g.phi_degree() > 1:
         raise ShapeError("first fold produced phi-degree above one")
     return dec
+
+
+def m1_zero_forms(spec: HamiltonianSpec, n: int) -> list:
+    """Basis of the one-forms of degree <= n whose M1 vanishes on the exterior
+    annuli: the nullspace of the decompose_ext residue map (alpha, gamma)
+    over the monomial forms x^i y^j dx, x^i y^j dy with i + j <= n, ordered
+    by i, then j, dx first.  One form per vector of the exact nullspace
+    basis, which the reduced row echelon form makes canonical.
+    """
+    zero = WeightedPoly.zero()
+    basis = [form for i in range(n + 1) for j in range(n + 1 - i)
+             for form in (OneForm(WeightedPoly.mono(1, i, j), zero),
+                          OneForm(zero, WeightedPoly.mono(1, i, j)))]
+    decs = [decompose_ext(f, spec) for f in basis]
+    width = max(len(p.coeffs) for dec in decs for p in (dec.alpha, dec.gamma))
+    rows = [[p.coeffs[r] if r < len(p.coeffs) else 0 for p in (dec.alpha, dec.gamma)
+             for r in range(width)] for dec in decs]
+    out = []
+    for v in exact_nullspace([list(col) for col in zip(*rows)], len(basis)):
+        w = OneForm.zero()
+        for c, f in zip(v, basis):
+            if c:
+                w = w + f.scale(c)
+        out.append(w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +655,17 @@ class LogRing:
     mismatch: str
 
 
+def quartic_ring(spec: HamiltonianSpec) -> LogRing:
+    """The concrete H, with phi formal and d phi = (2 x y dx - (x^2 - e) dy) / 4H."""
+    def xy(p):
+        return {(i, j): c for (i, j, _), c in p.terms.items()}
+
+    return LogRing(f=xy(spec.h_poly), df=tuple(map(xy, spec.grad())),
+                   logs=((-1, {(1, 1): Fraction(1, 2)},
+                          {(2, 0): Fraction(-1, 4), (0, 0): Fraction(spec.e, 4)}),),
+                   mismatch="reduction does not reconstruct its input at phi-level {0}")
+
+
 def _xy_mul(a, b):
     """Product of two x,y-dicts."""
     out = {}
@@ -602,20 +676,18 @@ def _xy_mul(a, b):
     return _nonzero(out)
 
 
-def check_reconstruction(ring: LogRing, exact, q, residue, items):
+def check_reconstruction(ring: LogRing, items, red: Reduction):
     """Raise ShapeError unless d(exact) + q dF + residue equals the input items.
 
-    exact and q are iterables of (levels, n0, terms), terms of ((i, j, k), c),
-    meaning the functions c g^levels F^(n0 + k) x^i y^j with g the log
-    generators; residue and items are iterables of (levels, n, (A, B)),
-    meaning the one-forms g^levels F^n (A dx + B dy).  The logs are formal,
-    so the identity must hold at every level.  There the difference
-    d(exact) + q dF + residue - items is collected as a pair of x,y-dicts D_n
-    (dx and dy parts) per F-power n; then sum_n D_n F^(n - n_min), with n_min
-    the lowest power on either side, is expanded by Horner in the concrete F.
-    Q[x, 1/x, y] is an integral domain, so the identity holds iff every
-    coefficient of that expansion is zero.  No reducer's rewriting rules or
-    caches are used.
+    items are the reducer's input {(*levels, n): (A, B)}, meaning the
+    one-forms g^levels F^n (A dx + B dy) with g the log generators; red is
+    its Reduction.  The logs are formal, so the identity must hold at every
+    level.  There the difference d(exact) + q dF + residue - items is
+    collected as a pair of x,y-dicts D_n (dx and dy parts) per F-power n;
+    then sum_n D_n F^(n - n_min), with n_min the lowest power on either
+    side, is expanded by Horner in the concrete F.  Q[x, 1/x, y] is an
+    integral domain, so the identity holds iff every coefficient of that
+    expansion is zero.  No reducer's rewriting rules or caches are used.
     """
     diff = {}  # levels -> {F-power n: (dx part, dy part)}
 
@@ -629,12 +701,13 @@ def check_reconstruction(ring: LogRing, exact, q, residue, items):
                 key = (i + pi, j + pj)
                 dst[key] = dst.get(key, 0) + c * pc
 
-    for lv, n0, terms in exact:
+    for key, poly in red.exact.entries.items():
         # d(g^lv F^n u) = g^lv F^n du + n g^lv F^(n-1) u dF
         #                 + sum_r lv_r g^(lv - e_r) u dg_r
+        lv, n0 = key[:-1], -key[-1]
         lowered = [(lv[:r] + (lv[r] - 1,) + lv[r + 1:], lv[r], shift, form)
                    for r, (shift, *form) in enumerate(ring.logs) if lv[r]]
-        for (i, j, k), c in terms:
+        for (i, j, k), c in poly.terms.items():
             n = n0 + k
             a, b = slot(lv, n)
             if i:
@@ -645,17 +718,17 @@ def check_reconstruction(ring: LogRing, exact, q, residue, items):
                 add_times(lv, n - 1, ring.df, i, j, c * n)
             for low, power, shift, form in lowered:
                 add_times(low, n + shift, form, i, j, c * power)
-    for lv, n0, terms in q:
-        for (i, j, k), c in terms:
-            add_times(lv, n0 + k, ring.df, i, j, c)
-    for lv, n, parts in residue:
-        for src, dst in zip(parts, slot(lv, n)):
-            for key, c in src.items():
-                dst[key] = dst.get(key, 0) + c
-    for lv, n, parts in items:
-        for src, dst in zip(parts, slot(lv, n)):
-            for key, c in src.items():
-                dst[key] = dst.get(key, 0) - c
+    for key, poly in red.dh_coeff.entries.items():
+        for (i, j, k), c in poly.terms.items():
+            add_times(key[:-1], k - key[-1], ring.df, i, j, c)
+    for key, c in red.residue.items():
+        # c g^lv F^n x^i y dx
+        a = slot(key[:-2], key[-2])[0]
+        a[(key[-1], 1)] = a.get((key[-1], 1), 0) + c
+    for key, parts in items.items():
+        for src, dst in zip(parts, slot(key[:-1], key[-1])):
+            for xy, c in src.items():
+                dst[xy] = dst.get(xy, 0) - c
 
     for lv, buckets in diff.items():
         acc = ({}, {})
@@ -667,25 +740,6 @@ def check_reconstruction(ring: LogRing, exact, q, residue, items):
                         part[key] = part.get(key, 0) + c
         if any(c for part in acc for c in part.values()):
             raise ShapeError(ring.mismatch.format(*lv))
-
-
-def _check_ext_reconstruction(items, red: Reduction, spec):
-    """check_reconstruction over the concrete H, with phi formal and
-    d phi = (2 x y dx - (x^2 - e) dy) / 4H."""
-    def xy(p):
-        return {(i, j): c for (i, j, _), c in p.terms.items()}
-
-    def terms(elem):
-        return [((l,), -p, poly.terms.items()) for (l, p), poly in elem.entries.items()]
-
-    ring = LogRing(f=xy(spec.h_poly), df=tuple(map(xy, spec.grad())),
-                   logs=((-1, {(1, 1): Fraction(1, 2)},
-                          {(2, 0): Fraction(-1, 4), (0, 0): Fraction(spec.e, 4)}),),
-                   mismatch="reduction does not reconstruct its input at phi-level {0}")
-    check_reconstruction(
-        ring, terms(red.exact), terms(red.dh_coeff),
-        [((l,), m, ({(i, 1): c}, {})) for (l, m, i), c in red.residue.items()],
-        [((l,), m, parts) for (l, m), parts in items.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -823,20 +877,22 @@ class ChainResult:
 
 
 def _ext_items_from_q(q: ExtElem, w: OneForm):
-    """Bucket form of the raw product q * w for the next reduction stage.
+    """Bucket form {(*levels, n): (A, B)} of the raw product q * w for the
+    next reduction stage.
 
     The product is not normal-formed here: Reducer.run normal-forms its input.
     """
     items = {}
-    for (j, p), poly in q.entries.items():
+    for key, poly in q.entries.items():
+        levels, p = key[:-1], key[-1]
         for (i, jy, kk), c in poly.terms.items():
-            base_m = kk - p
+            base_n = kk - p
             for tgt_idx, src in ((0, w.a), (1, w.b)):
                 for (i2, j2, k2), c2 in src.terms.items():
-                    key = (j, base_m + k2)
-                    slot = items.get(key)
+                    slot_key = levels + (base_n + k2,)
+                    slot = items.get(slot_key)
                     if slot is None:
-                        slot = items[key] = ({}, {})
+                        slot = items[slot_key] = ({}, {})
                     _xy_add(slot[tgt_idx], i + i2, jy + j2, c * c2)
     return {k: v for k, v in items.items() if v[0] or v[1]}
 
@@ -880,7 +936,7 @@ def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
     for k in range(1, k_max + 1):
         red = Reducer(spec, fold_sigma1=True).run(items)
         if check:
-            _check_ext_reconstruction(items, red, spec)
+            check_reconstruction(quartic_ring(spec), items, red)
         steps.append(ChainStep(k=k, omega=items, exact=red.exact, q=red.dh_coeff,
                                residue=red.residue))
         max_level = max((l for (l, _, _) in red.residue), default=0)

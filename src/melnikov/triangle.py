@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import OneForm
-from .reduction import (LogRing, ShapeError, UnitReducer, _add_scaled, _nonzero, _xy_add,
-                        _xy_mul, check_reconstruction)
+from .algebra import D4_TRIANGLE, OneForm, WeightedPoly
+from .reduction import (ExtElem, LogRing, Reduction, ShapeError, UnitReducer, _DX, _DY,
+                        _add_scaled, _ext_from_terms, _ext_items_from_q, _nonzero,
+                        _xy_add, check_reconstruction)
 from .upoly import Poly, RatFn, normalize_coeff_vector, poly_gcd, ratfn_nullvector
 
 # df = FX dx + FY dy for f = x y^2 - x^3 + 6 x^2 - 9 x
@@ -28,12 +29,11 @@ _WLY = {(1, 0): Fraction(6), (2, 0): Fraction(-2)}
 # f itself as an x,y-polynomial dict
 _F = {(1, 2): Fraction(1), (3, 0): Fraction(-1), (2, 0): Fraction(6), (1, 0): Fraction(-9)}
 
-
-def _f_power(p: int):
-    out = {(0, 0): Fraction(1)}
-    for _ in range(p):
-        out = _xy_mul(out, _F)
-    return out
+# The concrete f, with L and X = ln x formal, f dL = 2xy dx + (6x - 2x^2) dy
+# and dX = dx / x: the ring data of the reconstruction oracle.
+TRIANGLE_RING = LogRing(
+    f=_F, df=(_FX, _FY), logs=((-1, _WLX, _WLY), (0, {(-1, 0): Fraction(1)}, {})),
+    mismatch="triangle reduction does not reconstruct its input at level L^{0} lnx^{1}")
 
 
 def _divide_by_f(poly):
@@ -53,147 +53,46 @@ def _divide_by_f(poly):
     return quot
 
 
-class D4Elem:
-    """Element of the extension ring: sum L^a X^b f^p * (x-Laurent, y >= 0)."""
+# ---------------------------------------------------------------------------
+# Elements of the extension ring: ExtElem keyed (a, b, p) for L^a X^b f^-p
+# over x-Laurent, y >= 0 polynomials, with f^k (k > 0) in the H slot
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("parts",)
+def normalized(elem: ExtElem) -> ExtElem:
+    """Expand positive f-powers in the concrete f; cancel f against the poles."""
+    out = ExtElem()
+    for (a, b, p), poly in elem.entries.items():
+        xy = {(m, j): c for (m, j, _), c in poly.subst_h(D4_TRIANGLE.h_poly).terms.items()}
+        while p and (quot := _divide_by_f(xy)) is not None:
+            xy, p = quot, p - 1
+        for (m, j), c in xy.items():
+            out.add_term(a, b, -p, m, j, c)
+    return out
 
-    def __init__(self, parts=None):
-        self.parts = {}
-        if parts:
-            for key, xy in parts.items():
-                for (m, j), c in xy.items():
-                    self.add_term(*key, m, j, c)
 
-    def add_term(self, a, b, p, m, j, c):
-        if c == 0:
-            return
-        d = self.parts.setdefault((a, b, p), {})
-        _xy_add(d, m, j, c)
-        if not d:
-            self.parts.pop((a, b, p), None)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.parts
-
-    def normalized(self) -> "D4Elem":
-        """Expand positive f-prefactors; cancel f against negative ones."""
-        out = D4Elem()
-        for (a, b, p), xy in self.parts.items():
-            if p > 0:
-                expanded = _xy_mul(xy, _f_power(p))
-                for (m, j), c in expanded.items():
-                    out.add_term(a, b, 0, m, j, c)
-            elif p < 0:
-                cur = dict(xy)
-                while p < 0:
-                    q = _divide_by_f(cur)
-                    if q is None:
-                        break
-                    cur = q
-                    p += 1
-                for (m, j), c in cur.items():
-                    out.add_term(a, b, p, m, j, c)
-            else:
-                for (m, j), c in xy.items():
-                    out.add_term(a, b, 0, m, j, c)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, D4Elem) and self.normalized().parts == other.normalized().parts
-
-    def __add__(self, other):
-        out = D4Elem()
-        for src in (self, other):
-            for (a, b, p), xy in src.parts.items():
-                for (m, j), c in xy.items():
-                    out.add_term(a, b, p, m, j, c)
-        return out
-
-    def __neg__(self):
-        out = D4Elem()
-        for (a, b, p), xy in self.parts.items():
-            for (m, j), c in xy.items():
-                out.add_term(a, b, p, m, j, -c)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = D4Elem()
-        for (a1, b1, p1), xy1 in self.parts.items():
-            for (a2, b2, p2), xy2 in other.parts.items():
-                prod = _xy_mul(xy1, xy2)
-                for (m, j), c in prod.items():
-                    out.add_term(a1 + a2, b1 + b2, p1 + p2, m, j, c)
-        return out
-
-    def max_l(self):
-        return max((a for (a, _, _) in self.parts), default=0)
-
-    def max_f_pole(self):
-        return max((-p for (_, _, p) in self.parts), default=0)
-
-    def subst_l_shift(self, c: Fraction) -> "D4Elem":
-        """Replace the log generator L by L + c (an exact rational shift)."""
-        from math import comb
-        out = D4Elem()
-        for (a, b, p), xy in self.parts.items():
-            for r in range(a + 1):
-                coef = comb(a, r) * c ** (a - r)
-                for (m, j), cc in xy.items():
-                    out.add_term(r, b, p, m, j, cc * coef)
-        return out
-
-    def canonical(self) -> str:
-        if not self.parts:
-            return "0"
-        chunks = []
-        for (a, b, p) in sorted(self.parts, reverse=True):
-            xy = self.parts[(a, b, p)]
-            head = ""
-            if a:
-                head += f"L^{a} " if a > 1 else "L "
-            if b:
-                head += f"lnx^{b} " if b > 1 else "lnx "
-            if p:
-                head += f"f^{p} " if p != 1 else "f "
-            terms = []
-            for (m, j) in sorted(xy, reverse=True):
-                c = xy[(m, j)]
-                body = ""
-                if m:
-                    body += f"x^{m} " if m != 1 else "x "
-                if j:
-                    body += f"y^{j} " if j != 1 else "y "
-                cs = f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-                terms.append(f"{cs} {body}".strip())
-            chunks.append((head + "(" + " + ".join(terms).replace("+ -", "- ") + ")").strip())
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"D4Elem({self.canonical()})"
+def d4_canonical(elem: ExtElem) -> str:
+    """Print form: chunks L^a lnx^b f^p (terms) with p the signed f-power,
+    in descending (a, b, p), terms in descending (m, j)."""
+    chunks = {}
+    for (a, b, pole), poly in elem.entries.items():
+        for (m, j, k), c in poly.terms.items():
+            chunks.setdefault((a, b, k - pole), {})[(m, j, 0)] = c
+    out = []
+    for (a, b, p) in sorted(chunks, reverse=True):
+        head = "".join((f"L^{a} " if a > 1 else "L " if a else "",
+                        f"lnx^{b} " if b > 1 else "lnx " if b else "",
+                        f"f^{p} " if p not in (0, 1) else "f " if p else ""))
+        out.append(f"{head}({WeightedPoly(chunks[(a, b, p)]).canonical()})")
+    return " + ".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
 # The reducer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class D4Reduction:
-    exact: D4Elem
-    df_coeff: D4Elem
-    residue: dict       # (a, b, p, m) -> coeff, with m in {-1, 0, 1}, of x^m y dx
-
-
 # A unit monomial L^a X^b f^p x^m y^j (dx | dy) is keyed (a, b, p, m, j, kind);
 # the balanced form L^a f^p (x - 1) y dx is keyed (a, 0, p, _BALANCED).
-_DX, _DY, _BALANCED = 0, 1, 2
+_BALANCED = 2
 
 
 class D4Reducer(UnitReducer):
@@ -208,100 +107,61 @@ class D4Reducer(UnitReducer):
     """
 
     MOVES = ("_move_dx", "_move_dy", "_move_balanced")
+    # dL = f^-1 (2xy dx + (6x - 2x^2) dy) and dX = x^-1 dx
+    DLOG = ((-1, ((_WLX, _DX), (_WLY, _DY))), (0, (({(-1, 0): Fraction(1)}, _DX),)))
     cache_key = ("d4-triangle",)
 
-    def run(self, items):
-        """items {(a, b, p): (xy_dx, xy_dy)} -> (exact, q, residue) coefficient
-        dicts keyed (a, b, p, m, j), (a, b, p, m, j) and (a, b, p, m)."""
-        units = {}
-        for (a, b, p), parts in items.items():
-            for kind, xy in enumerate(parts):
-                for (m, j), c in xy.items():
-                    self._add(units, (a, b, p, m, j, kind), c)
-        return self.reduce_units(units)
-
-    def _push(self, a, b, p, xy, kind, scale=1):
-        """Add scale * L^a X^b f^p xy (dx | dy) to the children."""
-        for (m, j), c in xy.items():
-            self._add(self.kids, (a, b, p, m, j, kind), c * scale)
-
-    @staticmethod
-    def _add(sink, key, c):
-        sink[key] = sink.get(key, 0) + c
-
-    def _emit_d(self, a, b, p, u_xy):
-        """pi dU = d(pi U) - U d(pi) with pi = L^a X^b f^p."""
-        for (m, j), c in u_xy.items():
-            self._add(self.Q, (a, b, p, m, j), c)
-            if p:
-                self._add(self.q, (a, b, p - 1, m, j), -p * c)
-        if a:
-            # dL = f^{-1} (2xy dx + (6x - 2x^2) dy)
-            self._push(a - 1, b, p - 1, _xy_mul(u_xy, _WLX), _DX, -a)
-            self._push(a - 1, b, p - 1, _xy_mul(u_xy, _WLY), _DY, -a)
-        if b:
-            self._push(a, b - 1, p, {(m - 1, j): c for (m, j), c in u_xy.items()}, _DX, -b)
-
     def _move_dy(self, a, b, p, m, j):
-        self._emit_d(a, b, p, {(m, j + 1): Fraction(1, j + 1)})
+        self._emit_d((a, b), p, {(m, j + 1): Fraction(1, j + 1)})
         if m:
-            self._push(a, b, p, {(m - 1, j + 1): Fraction(-m, j + 1)}, _DX)
+            self._put(self.kids, (a, b), p, {(m - 1, j + 1): Fraction(-m, j + 1)}, _DX)
 
     def _move_dx(self, a, b, p, m, j):
         if j >= 2:
             # x^m y^j = f x^(m-1) y^(j-2) + x^m (x-3)^2 y^(j-2)
-            self._push(a, b, p + 1, {(m - 1, j - 2): Fraction(1)}, _DX)
-            self._push(a, b, p, {(m + 2, j - 2): Fraction(1), (m + 1, j - 2): Fraction(-6),
-                                 (m, j - 2): Fraction(9)}, _DX)
+            self._put(self.kids, (a, b), p + 1, {(m - 1, j - 2): Fraction(1)}, _DX)
+            self._put(self.kids, (a, b), p, {(m + 2, j - 2): Fraction(1),
+                                             (m + 1, j - 2): Fraction(-6),
+                                             (m, j - 2): Fraction(9)}, _DX)
         elif j == 0 and m != -1:
-            self._emit_d(a, b, p, {(m + 1, 0): Fraction(1, m + 1)})
+            self._emit_d((a, b), p, {(m + 1, 0): Fraction(1, m + 1)})
         elif j == 0:
-            # the primitive is the logarithm of x
-            c = Fraction(1, 1 + b)
-            self._add(self.Q, (a, b + 1, p, 0, 0), c)
-            if a:
-                self._push(a - 1, b + 1, p - 1, _WLX, _DX, -a * c)
-                self._push(a - 1, b + 1, p - 1, _WLY, _DY, -a * c)
-            if p:
-                self._add(self.q, (a, b + 1, p - 1, 0, 0), -p * c)
+            # the primitive is the logarithm of x; the dX term of the
+            # product rule is this unit itself
+            self._emit_d((a, b + 1), p, {(0, 0): Fraction(1, 1 + b)})
+            del self.kids[(a, b, p, -1, 0, _DX)]
         elif -1 <= m <= 1:
             self.res[(a, b, p, m)] = Fraction(1)
         elif m >= 2:
             # moment rewrite at k = m - 1 (division by 2k + 6)
             k = m - 1
             den = Fraction(2 * k + 6)
-            self._push(a, b, p, {(k, 1): (12 * k + 18) / den, (k - 1, 1): -18 * k / den}, _DX)
-            self._push(a, b, p + 1, {(k - 2, 1): -(2 * k - 3) / den}, _DX)
-            self._emit_d(a, b, p, {(k, 3): 2 / den})
-            self._add(self.q, (a, b, p, k - 1, 1), -3 / den)
+            self._put(self.kids, (a, b), p, {(k, 1): (12 * k + 18) / den,
+                                             (k - 1, 1): -18 * k / den}, _DX)
+            self._put(self.kids, (a, b), p + 1, {(k - 2, 1): -(2 * k - 3) / den}, _DX)
+            self._emit_d((a, b), p, {(k, 3): 2 / den})
+            self._put(self.q, (a, b), p, {(k - 1, 1): -3 / den})
         else:
             # m <= -2: same rewrite solved for the f-weighted term,
             # k = m + 2, so the division is by 2k - 3 (never zero)
             k = m + 2
             den = Fraction(2 * k - 3)
-            self._push(a, b, p - 1, {(k + 1, 1): -(2 * k + 6) / den,
-                                     (k, 1): (12 * k + 18) / den, (k - 1, 1): -18 * k / den}, _DX)
-            self._emit_d(a, b, p - 1, {(k, 3): 2 / den})
-            self._add(self.q, (a, b, p - 1, k - 1, 1), -3 / den)
+            self._put(self.kids, (a, b), p - 1, {(k + 1, 1): -(2 * k + 6) / den,
+                                                 (k, 1): (12 * k + 18) / den,
+                                                 (k - 1, 1): -18 * k / den}, _DX)
+            self._emit_d((a, b), p - 1, {(k, 3): 2 / den})
+            self._put(self.q, (a, b), p - 1, {(k - 1, 1): -3 / den})
 
     def _move_balanced(self, a, b, p):
         """L^a f^p (x-1) y dx = L^a f^p [d(x^2 y/3 - x y) + (1/6) f dL]."""
-        self._emit_d(a, 0, p, {(2, 1): Fraction(1, 3), (1, 1): Fraction(-1)})
+        self._emit_d((a, 0), p, {(2, 1): Fraction(1, 3), (1, 1): Fraction(-1)})
         # (1/6) L^a f^(p+1) dL = d(L^(a+1) f^(p+1)) / (6(a+1)) - (p+1) L^(a+1) f^p df / (6(a+1))
         den = Fraction(6 * (a + 1))
-        self._add(self.Q, (a + 1, 0, p + 1, 0, 0), 1 / den)
-        self._add(self.q, (a + 1, 0, p, 0, 0), -(p + 1) / den)
+        self._put(self.Q, (a + 1, 0), p + 1, {(0, 0): 1 / den})
+        self._put(self.q, (a + 1, 0), p, {(0, 0): -(p + 1) / den})
 
 
-def _d4_from_terms(terms) -> D4Elem:
-    """{(a, b, p, m, j): c} -> D4Elem."""
-    out = D4Elem()
-    for (a, b, p, m, j), c in terms.items():
-        out.parts.setdefault((a, b, p), {})[(m, j)] = c
-    return out
-
-
-def reduce_full(items) -> D4Reduction:
+def reduce_full(items) -> Reduction:
     """Reduce items {(a, b, p): (xy_dx, xy_dy)}, then absorb every balanced
     residue combination.
 
@@ -313,14 +173,14 @@ def reduce_full(items) -> D4Reduction:
     Conversions leave new residues, so convert until no slot is balanced.
     """
     red = D4Reducer()
-    exact, q, res = red.run(items)
+    exact, q, res = red.reduce_units(red._units(items))
     for _ in range(64):
         balanced = {(a, 0, p, _BALANCED): c for (a, b, p, m), c in res.items()
                     if b == 0 and m == 1 and (a, 0, p, -1) not in res
                     and res.get((a, 0, p, 0), 0) + c == 0}
         if not balanced:
-            return D4Reduction(exact=_d4_from_terms(exact), df_coeff=_d4_from_terms(q),
-                               residue=res)
+            return Reduction(exact=_ext_from_terms(exact), dh_coeff=_ext_from_terms(q),
+                             residue=res)
         for (a, _, p, _) in balanced:
             del res[(a, 0, p, 0)], res[(a, 0, p, 1)]
         for part, new in zip((exact, q, res), red.reduce_units(balanced)):
@@ -497,10 +357,10 @@ class D4GenFn:
 
 @dataclass
 class D4ChainResult:
-    q1: D4Elem
-    q2: D4Elem
-    Q1: D4Elem
-    Q2: D4Elem
+    q1: ExtElem
+    q2: ExtElem
+    Q1: ExtElem
+    Q2: ExtElem
     m3: D4GenFn
     integrable: bool
     omega3_residue: dict
@@ -517,19 +377,6 @@ def _form_to_items(w: OneForm):
             raise ValueError("triangle perturbations must be polynomial in x, y")
         _xy_add(ady, i, j, c)
     return {(0, 0, 0): (adx, ady)}
-
-
-def _elem_times_form(q: D4Elem, w_items) -> dict:
-    items = {}
-    (adx, ady) = w_items[(0, 0, 0)]
-    for (a, b, p), xy in q.parts.items():
-        key = (a, b, p)
-        slot = items.setdefault(key, ({}, {}))
-        for (m, j), c in _xy_mul(xy, adx).items():
-            _xy_add(slot[0], m, j, c)
-        for (m, j), c in _xy_mul(xy, ady).items():
-            _xy_add(slot[1], m, j, c)
-    return {k: v for k, v in items.items() if v[0] or v[1]}
 
 
 def _genfn_from_periods(per: D4Periods) -> D4GenFn:
@@ -561,60 +408,38 @@ def d4_chain(w: OneForm, check: bool = True) -> D4ChainResult:
     items1 = _form_to_items(w)
     red1 = reduce_full(items1)
     if check:
-        _check_d4_reconstruction(items1, red1)
+        check_reconstruction(TRIANGLE_RING, items1, red1)
     per1 = periods_of_residue(red1.residue)
     if not per1.is_zero():
         raise D4ChainError("M1 nonzero", periods=per1)
     if red1.residue:
         raise ShapeError("vanishing first step left an unconvertible residue")
-    q1, Q1 = red1.df_coeff.normalized(), red1.exact.normalized()
-    if check and (q1.max_l() > 1 or q1.max_f_pole() > 0):
+    q1, Q1 = normalized(red1.dh_coeff), normalized(red1.exact)
+    if check and (q1.phi_degree() > 1 or q1.max_pole() > 0):
         raise ShapeError("q1 outside the expected log/pole pattern")
 
-    items2 = _elem_times_form(q1, items1)
+    items2 = _ext_items_from_q(q1, w)
     red2 = reduce_full(items2)
     if check:
-        _check_d4_reconstruction(items2, red2)
+        check_reconstruction(TRIANGLE_RING, items2, red2)
     per2 = periods_of_residue(red2.residue)
     if not per2.is_zero():
         raise D4ChainError("M2 nonzero", periods=per2)
     if red2.residue:
         raise ShapeError("vanishing second step left an unconvertible residue")
-    q2, Q2 = red2.df_coeff.normalized(), red2.exact.normalized()
+    q2, Q2 = normalized(red2.dh_coeff), normalized(red2.exact)
     if check:
-        if q2.max_l() > 2 or q2.max_f_pole() > 1:
+        if q2.phi_degree() > 2 or q2.max_pole() > 1:
             raise ShapeError("q2 outside the expected log/pole pattern")
 
-    items3 = _elem_times_form(q2, items1)
+    items3 = _ext_items_from_q(q2, w)
     red3 = reduce_full(items3)
     if check:
-        _check_d4_reconstruction(items3, red3)
+        check_reconstruction(TRIANGLE_RING, items3, red3)
     per3 = periods_of_residue(red3.residue)
     m3 = _genfn_from_periods(per3)
     return D4ChainResult(q1=q1, q2=q2, Q1=Q1, Q2=Q2, m3=m3,
                          integrable=m3.is_zero(), omega3_residue=red3.residue)
-
-
-# ---------------------------------------------------------------------------
-# Exact reconstruction oracle for the triangle reducer
-# ---------------------------------------------------------------------------
-
-_RING = LogRing(f=_F, df=(_FX, _FY),
-                logs=((-1, _WLX, _WLY), (0, {(-1, 0): Fraction(1)}, {})),
-                mismatch="triangle reduction does not reconstruct its input at level L^{0} lnx^{1}")
-
-
-def _check_d4_reconstruction(items, red: D4Reduction):
-    """check_reconstruction over the concrete f, with L and X = ln x formal,
-    f dL = 2xy dx + (6x - 2x^2) dy and dX = dx / x."""
-    def terms(elem):
-        return [((a, b), p, [((m, j, 0), c) for (m, j), c in xy.items()])
-                for (a, b, p), xy in elem.parts.items()]
-
-    check_reconstruction(
-        _RING, terms(red.exact), terms(red.df_coeff),
-        [((a, b), p, ({(m, 1): c}, {})) for (a, b, p, m), c in red.residue.items()],
-        [((a, b), p, parts) for (a, b, p), parts in items.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from melnikov.cli import main, parse_one_form, ValidationError
-from melnikov.algebra import WeightedPoly
+from melnikov import cli
+from melnikov.cli import format_one_form, main, parse_one_form, ValidationError
+from melnikov.algebra import OneForm, WeightedPoly
 
 X = WeightedPoly.var_x()
 Y = WeightedPoly.var_y()
@@ -51,6 +53,18 @@ def test_parse_one_form_exponent_cap():
     assert parse_one_form(f"x^{MAX_EXPONENT} dx").a == X**MAX_EXPONENT
     with pytest.raises(ValidationError):
         parse_one_form(f"y^{MAX_EXPONENT + 1} dy")
+
+
+_exp = st.integers(0, cli.MAX_EXPONENT)
+_poly = st.dictionaries(st.tuples(_exp, _exp, st.just(0)),
+                        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+                        max_size=5).map(WeightedPoly)
+
+
+@given(a=_poly, b=_poly)
+def test_format_one_form_round_trips(a, b):
+    w = OneForm(a, b)
+    assert parse_one_form(format_one_form(w)) == w
 
 
 def test_zero_denominator_is_validation_error(capsys, tmp_path):
@@ -162,3 +176,27 @@ def test_zeros_subcommand(capsys, tmp_path):
     data = json.loads(out)
     assert data["count"] == 0
     assert data["bound"] == 0  # k=1, n=1: interior bound floor(3*0/2)
+
+
+@pytest.mark.parametrize("ham, annulus, interval", [("eight-loop", "exterior", "0.3:1"),
+                                                    ("d4-triangle", "main", "-3:-1")])
+def test_zeros_of_an_integrable_form_is_a_validation_error(capsys, tmp_path, ham, annulus,
+                                                            interval):
+    code, out = run(capsys, tmp_path, "zeros", "--ham", ham, "--annulus", annulus,
+                    "--form", "x dx", f"--interval={interval}")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "validation"
+    assert "integrable to the tested order" in err["message"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    def broken(args, out_base):
+        raise AttributeError("'NoneType' object has no attribute 'n'")
+
+    monkeypatch.setitem(cli._DISPATCH, "pair", broken)
+    code, out = run(capsys, tmp_path, "pair", "--word", "d")
+    assert code == cli.EXIT_INTERNAL == 5
+    err = json.loads(out)["error"]
+    assert err["kind"] == "internal"
+    assert err["message"].startswith("AttributeError")

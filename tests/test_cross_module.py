@@ -10,10 +10,9 @@ from melnikov.algebra import (WeightedPoly, OneForm, D4_TRIANGLE, EIGHT_LOOP,
 from melnikov.monodromy import W, pair_with_form, var, homology_class
 from melnikov.numerics import (trace_oval, integrate_form, fit_m3_log2,
                                count_zeros, NumericsError, phi_function)
-from melnikov.reduction import francoise_chain
-from melnikov.triangle import (D4GenFn, d4_chain, reduce_full, _form_to_items,
-                               _elem_times_form, periods_of_residue,
-                               _genfn_from_periods)
+from melnikov.reduction import _ext_items_from_q, francoise_chain
+from melnikov.triangle import (D4GenFn, d4_chain, normalized, reduce_full,
+                               periods_of_residue, _genfn_from_periods)
 
 X = WeightedPoly.var_x()
 Y = WeightedPoly.var_y()
@@ -44,20 +43,19 @@ def test_log_closure_identity_numeric_on_oval():
 def test_log_shift_invariance_of_triangle_chain():
     """Replacing L by L + c reproduces the same generating function."""
     w = paper_form()
-    items1 = _form_to_items(w)
     base = d4_chain(w, check=False)
     c = Fraction(5, 3)
-    q1_shift = base.q1.subst_l_shift(c)
-    items2 = _elem_times_form(q1_shift, items1)
+    q1_shift = base.q1.subst_log_shift(0, c)
+    items2 = _ext_items_from_q(q1_shift, w)
     red2 = reduce_full(items2)
     assert periods_of_residue(red2.residue).is_zero()
     assert not red2.residue
     # the two second-stage coefficients may differ by a pure function of f
     # (the gauge freedom of the decomposition); here it is a constant
-    q2_shift = red2.df_coeff.normalized()
-    diff = (q2_shift - base.q2.subst_l_shift(c)).normalized()
-    assert all((m, j) == (0, 0) for xy in diff.parts.values() for (m, j) in xy)
-    items3 = _elem_times_form(q2_shift, items1)
+    q2_shift = normalized(red2.dh_coeff)
+    diff = normalized(q2_shift - base.q2.subst_log_shift(0, c))
+    assert all((m, j) == (0, 0) for poly in diff.entries.values() for (m, j, _) in poly.terms)
+    items3 = _ext_items_from_q(q2_shift, w)
     red3 = reduce_full(items3)
     m3 = _genfn_from_periods(periods_of_residue(red3.residue))
     assert m3 == base.m3
@@ -130,38 +128,17 @@ def test_exterior_second_order_value_by_direct_quadrature():
     """Integrate q1 * w along the oval with the actual log primitive and
     compare against the symbolic second generating function."""
     from melnikov.numerics import integrate_ext_product, eval_genfn
-    from melnikov.reduction import decompose_ext
-    from melnikov.upoly import exact_nullspace
+    from melnikov.reduction import m1_zero_forms
     import random
     rng = random.Random(77)
-    monos = [(i, j, w) for i in range(4) for j in range(4) for w in (0, 1)
-             if i + j <= 3]
-    basis = []
-    rows = []
-    width = 0
-    residues = []
-    for (i, j, wch) in monos:
-        p = WeightedPoly.mono(1, i, j)
-        f = OneForm(p, WeightedPoly.zero()) if wch == 0 \
-            else OneForm(WeightedPoly.zero(), p)
-        basis.append(f)
-        dec = decompose_ext(f, EIGHT_LOOP)
-        residues.append((dec.alpha, dec.gamma))
-        width = max(width, len(dec.alpha.coeffs), len(dec.gamma.coeffs))
-    for (al, ga) in residues:
-        rows.append(list(al.coeffs) + [0] * (width - len(al.coeffs))
-                    + list(ga.coeffs) + [0] * (width - len(ga.coeffs)))
-    mat = [[rows[r][c] for r in range(len(rows))] for c in range(2 * width)]
-    null = exact_nullspace(mat, len(rows))
+    family = m1_zero_forms(EIGHT_LOOP, 3)
     res = None
     for _ in range(20):
         w = OneForm(WeightedPoly.zero(), WeightedPoly.zero())
-        for v in null:
+        for g in family:
             c = Fraction(rng.randrange(-3, 4))
             if c:
-                for cv, f in zip(v, basis):
-                    if cv:
-                        w = w + f.scale(cv * c)
+                w = w + g.scale(c)
         if w.is_zero():
             continue
         res = francoise_chain(w, EIGHT_LOOP, "exterior", k_max=4)

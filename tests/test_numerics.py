@@ -23,10 +23,14 @@ Y = WeightedPoly.var_y()
 def test_trace_oval_levels_and_geometry():
     ov = trace_oval(EIGHT_LOOP, 0.125, "interior_right")
     assert ov.x_lo > 0
-    pts = ov.trace()
-    h = EIGHT_LOOP.h_poly
-    for x, y in pts[:: max(1, len(pts) // 50)]:
-        assert abs(h.eval_float(x, y) - 0.125) < 1e-12
+    for spec, annulus, t in ((EIGHT_LOOP, "interior_left", 0.125),
+                             (EIGHT_LOOP, "interior_right", 0.125),
+                             (EIGHT_LOOP, "exterior", 1.0),
+                             (DOUBLE_HETEROCLINIC, "main", -0.1),
+                             (GLOBAL_CENTER, "main", 1.0),
+                             (D4_TRIANGLE, "main", -2.0)):
+        for x, y in trace_oval(spec, t, annulus).points():
+            assert abs(spec.h_poly.eval_float(x, y) - t) < 1e-12
     ov = trace_oval(EIGHT_LOOP, 1.0, "exterior")
     assert ov.x_lo == -ov.x_hi
     ov = trace_oval(D4_TRIANGLE, -2.0, "main")

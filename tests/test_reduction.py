@@ -12,7 +12,7 @@ from melnikov.algebra import (
 )
 from melnikov.reduction import (
     Reducer, Reduction, ShapeError, decompose, decompose_ext, francoise_chain,
-    ExtElem, _form_items, _check_ext_reconstruction, check_q_shape,
+    ExtElem, _form_items, check_q_shape, check_reconstruction, m1_zero_forms, quartic_ring,
 )
 from melnikov.upoly import Poly
 
@@ -199,7 +199,7 @@ def test_phi_shift_invariance_of_chain():
     # shift q1 and rerun the next stage by hand
     from melnikov.reduction import _ext_items_from_q
     if base.k is not None and base.k >= 2:
-        q1 = base.steps[0].q.subst_phi_shift(c)
+        q1 = base.steps[0].q.subst_log_shift(0, c)
         items = _ext_items_from_q(q1, w)
         red = Reducer(EIGHT_LOOP, fold_sigma1=True).run(items)
         from melnikov.reduction import _residue_laurent
@@ -212,29 +212,24 @@ def test_phi_shift_invariance_of_chain():
             _residue_laurent(base.steps[1].residue, 0, 2)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_m1_zero_forms_span_the_kernel_of_the_residue_map(n):
+    """Each form has alpha = gamma = 0, and the residue map from the
+    (n+1)(n+2) monomial forms onto alpha (degree <= (n-1)/2) and gamma
+    (degree <= (n-3)/2) is onto, so the kernel has the dimension counted."""
+    family = m1_zero_forms(EIGHT_LOOP, n)
+    for w in family:
+        dec = decompose_ext(w, EIGHT_LOOP)
+        assert dec.alpha.is_zero() and dec.gamma.is_zero()
+    assert len(family) == (n + 1) * (n + 2) - ((n - 1) // 2 + 1) - ((n - 3) // 2 + 1)
+
+
 def test_constrained_k2_exterior_shape():
     """A degree-3 form with vanishing first residues delivers k >= 2."""
-    from melnikov.upoly import exact_nullspace
-    basis = []
-    rows = []
-    for (i, j, which) in [(i, j, w) for i in range(4) for j in range(4) for w in (0, 1)
-                          if i + j <= 3]:
-        f = OneForm(WeightedPoly.mono(1, i, j), WeightedPoly.zero()) if which == 0 \
-            else OneForm(WeightedPoly.zero(), WeightedPoly.mono(1, i, j))
-        basis.append(f)
-        dec = decompose_ext(f, EIGHT_LOOP)
-        rows.append(dec.alpha.coeffs + (Fraction(0),) * (4 - len(dec.alpha.coeffs))
-                    + dec.gamma.coeffs + (Fraction(0),) * (4 - len(dec.gamma.coeffs)))
-    cols = len(rows[0])
-    mat = [[rows[r][c] for r in range(len(rows))] for c in range(cols)]
-    null = exact_nullspace(mat, len(rows))
-    assert null
+    family = m1_zero_forms(EIGHT_LOOP, 3)
+    assert family
     rng = random.Random(31)
-    vec = null[rng.randrange(len(null))]
-    w = OneForm(WeightedPoly.zero(), WeightedPoly.zero())
-    for c, f in zip(vec, basis):
-        if c:
-            w = w + f.scale(c)
+    w = family[rng.randrange(len(family))]
     assert not w.is_zero()
     res = francoise_chain(w, EIGHT_LOOP, "exterior", k_max=4)
     assert res.k is None or res.k >= 2
@@ -288,7 +283,7 @@ def test_reducer_is_linear(spec, config, a, b):
 @given(spec=_specs, config=_configs, items=_items)
 def test_reducer_output_reconstructs_input(spec, config, items):
     red = _reduce(spec, config, items)
-    _check_ext_reconstruction(items, red, spec)
+    check_reconstruction(quartic_ring(spec), items, red)
 
 
 def test_oracle_rejects_input_below_the_reduction_pole():
@@ -296,7 +291,7 @@ def test_oracle_rejects_input_below_the_reduction_pole():
     items = {(0, -1): ({(1, 0): 1}, {}), (0, 0): ({(1, 0): -1}, {})}
     zero = Reduction(exact=ExtElem(), dh_coeff=ExtElem(), residue={})
     with pytest.raises(ShapeError, match="phi-level 0"):
-        _check_ext_reconstruction(items, zero, EIGHT_LOOP)
+        check_reconstruction(quartic_ring(EIGHT_LOOP), items, zero)
 
 
 _ext_key = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 5),
@@ -343,7 +338,7 @@ def _coefficient_keys(red, items, part):
 def test_oracle_rejects_one_perturbed_coefficient(spec, config, items, part, delta, data):
     """Changing any one coefficient of exact, q, residue or the input is caught."""
     red = _reduce(spec, config, items)
-    _check_ext_reconstruction(items, red, spec)
+    check_reconstruction(quartic_ring(spec), items, red)
     keys = _coefficient_keys(red, items, part)
     if keys and data.draw(st.booleans()):
         key = data.draw(st.sampled_from(keys))
@@ -352,7 +347,7 @@ def test_oracle_rejects_one_perturbed_coefficient(spec, config, items, part, del
     assume(not (part == "exact" and key == (0, 0, 0, 0)))  # d(constant) = 0
     bad_red, bad_items = _perturb(red, items, part, key, delta)
     with pytest.raises(ShapeError, match="does not reconstruct"):
-        _check_ext_reconstruction(bad_items, bad_red, spec)
+        check_reconstruction(quartic_ring(spec), bad_items, bad_red)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,7 +389,7 @@ def test_reducer_guard_caps_expansions(monkeypatch):
 def test_reducer_guard_detects_a_cycle():
     class Cycling(Reducer):
         def _move_dy(self, l, m, i, j):
-            self._put(self.kids, l, m, {(i, j): Fraction(1, 2)}, _red._DY)
+            self._put(self.kids, (l,), m, {(i, j): Fraction(1, 2)}, _red._DY)
 
     _red._clear_unit_cache()
     with pytest.raises(ShapeError, match="failed to terminate"):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE
-from melnikov.reduction import ShapeError
+from melnikov.reduction import ExtElem, ShapeError, _ext_items_from_q, check_reconstruction
 from melnikov.triangle import (
-    D4Elem, D4Reducer, D4ChainError, D4GenFn, FuchsOde,
+    TRIANGLE_RING, D4Reducer, D4ChainError, D4GenFn, FuchsOde,
     d4_chain, d4_reduce_moments, d4_fuchs_ode, derive_fuchs_ode,
-    d4_local_exponents, reduce_full, _form_to_items, _check_d4_reconstruction,
+    d4_local_exponents, normalized, reduce_full, _form_to_items,
     pf_matrix, periods_of_residue,
 )
 from melnikov.upoly import Poly, RatFn
@@ -29,36 +29,36 @@ def test_log_closure_identity():
     w = OneForm(2 * X * Y, 6 * X - 2 * X**2)
     items = _form_to_items(w)
     red = reduce_full(items)
-    _check_d4_reconstruction(items, red)
+    check_reconstruction(TRIANGLE_RING, items, red)
     assert not red.residue
-    expected_q = D4Elem()
+    expected_q = ExtElem()
     expected_q.add_term(1, 0, 0, 0, 0, Fraction(-1))
-    assert red.df_coeff == expected_q
-    expected_Q = D4Elem()
+    assert normalized(red.dh_coeff) == normalized(expected_q)
+    expected_Q = ExtElem()
     expected_Q.add_term(1, 0, 1, 0, 0, Fraction(1))
-    assert red.exact == expected_Q
+    assert normalized(red.exact) == normalized(expected_Q)
 
 
 def test_paper_chain_golden():
     res = d4_chain(paper_perturbation())
     # q1 = -L/6
-    q1 = D4Elem()
+    q1 = ExtElem()
     q1.add_term(1, 0, 0, 0, 0, Fraction(-1, 6))
-    assert res.q1 == q1
+    assert res.q1 == normalized(q1)
     # Q1 = (f L - x^2 y - 12 y)/6
-    Q1 = D4Elem()
+    Q1 = ExtElem()
     Q1.add_term(1, 0, 1, 0, 0, Fraction(1, 6))
     Q1.add_term(0, 0, 0, 2, 1, Fraction(-1, 6))
     Q1.add_term(0, 0, 0, 0, 1, Fraction(-2))
-    assert res.Q1 == Q1
+    assert res.Q1 == normalized(Q1)
     # q2 = L^2/72 + (x^3 - 3x^2 + 12x - 36)/(36 f)
-    q2 = D4Elem()
+    q2 = ExtElem()
     q2.add_term(2, 0, 0, 0, 0, Fraction(1, 72))
     q2.add_term(0, 0, -1, 3, 0, Fraction(1, 36))
     q2.add_term(0, 0, -1, 2, 0, Fraction(-1, 12))
     q2.add_term(0, 0, -1, 1, 0, Fraction(1, 3))
     q2.add_term(0, 0, -1, 0, 0, Fraction(-1))
-    assert res.q2 == q2
+    assert res.q2 == normalized(q2)
     # M3 = (1/t) Istar - (3/32) I_-1
     assert res.m3.cstar == 1
     assert res.m3.c_m1 == Fraction(-3, 32)
@@ -210,8 +210,7 @@ def test_q1_omega2_minus_q2_df_is_closed():
     """The second chain stage is exact: its reduction has no residue."""
     w = paper_perturbation()
     res = d4_chain(w)
-    from melnikov.triangle import _elem_times_form
-    items2 = _elem_times_form(res.q1, _form_to_items(w))
+    items2 = _ext_items_from_q(res.q1, w)
     red2 = reduce_full(items2)
     assert not red2.residue
 
@@ -246,24 +245,26 @@ def _sum_items(x, y):
 @given(a=_items, b=_items)
 def test_triangle_reducer_is_linear(a, b):
     ra, rb = D4Reducer().run(a), D4Reducer().run(b)
-    for part_a, part_b, part_ab in zip(ra, rb, D4Reducer().run(_sum_items(a, b))):
-        total = dict(part_a)
-        for key, c in part_b.items():
-            total[key] = total.get(key, 0) + c
-        assert part_ab == {key: c for key, c in total.items() if c}
+    rab = D4Reducer().run(_sum_items(a, b))
+    res = dict(ra.residue)
+    for key, c in rb.residue.items():
+        res[key] = res.get(key, 0) + c
+    assert rab.exact == ra.exact + rb.exact
+    assert rab.dh_coeff == ra.dh_coeff + rb.dh_coeff
+    assert rab.residue == {key: c for key, c in res.items() if c}
 
 
 @settings(max_examples=40, deadline=None)
 @given(items=_items)
 def test_triangle_reduction_reconstructs_input(items):
-    _check_d4_reconstruction(items, reduce_full(items))
+    check_reconstruction(TRIANGLE_RING, items, reduce_full(items))
 
 
 _elem_key = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 1),
                       st.integers(-3, 4), st.integers(0, 4))
 _fresh_keys = {
     "exact": _elem_key,
-    "df_coeff": _elem_key,
+    "dh_coeff": _elem_key,
     "residue": st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 1),
                          st.integers(-1, 1)),
     "items": st.tuples(_abp, st.integers(0, 1), _mj),
@@ -282,7 +283,7 @@ def _perturb(red, items, part, key, delta):
         res = dict(red.residue)
         res[key] = res.get(key, 0) + delta
         return replace(red, residue=res), items
-    elem = D4Elem(getattr(red, part).parts)
+    elem = ExtElem(getattr(red, part).entries)
     elem.add_term(*key, delta)
     return replace(red, **{part: elem}), items
 
@@ -293,7 +294,8 @@ def _coefficient_keys(red, items, part):
                 for dxdy, xy in enumerate(ab) for mj in xy]
     if part == "residue":
         return list(red.residue)
-    return [(*abp, *mj) for abp, xy in getattr(red, part).parts.items() for mj in xy]
+    return [(a, b, k - p, m, j) for (a, b, p), poly in getattr(red, part).entries.items()
+            for (m, j, k) in poly.terms]
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +304,7 @@ def _coefficient_keys(red, items, part):
 def test_triangle_oracle_rejects_one_perturbed_coefficient(items, part, delta, data):
     """Changing any one coefficient of exact, q, residue or the input is caught."""
     red = reduce_full(items)
-    _check_d4_reconstruction(items, red)
+    check_reconstruction(TRIANGLE_RING, items, red)
     keys = _coefficient_keys(red, items, part)
     if keys and data.draw(st.booleans()):
         key = data.draw(st.sampled_from(keys))
@@ -311,4 +313,4 @@ def test_triangle_oracle_rejects_one_perturbed_coefficient(items, part, delta, d
     assume(not (part == "exact" and key == (0, 0, 0, 0, 0)))  # d(constant) = 0
     bad_red, bad_items = _perturb(red, items, part, key, delta)
     with pytest.raises(ShapeError, match="does not reconstruct"):
-        _check_d4_reconstruction(bad_items, bad_red)
+        check_reconstruction(TRIANGLE_RING, bad_items, bad_red)
