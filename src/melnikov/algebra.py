@@ -14,6 +14,10 @@ from fractions import Fraction
 Mono = tuple  # (i, j, k): exponents of x, y, H
 
 
+class ValidationError(ValueError):
+    """The caller's input is outside what the package accepts."""
+
+
 def _frac(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 

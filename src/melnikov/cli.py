@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import OneForm, SPECS, WeightedPoly
+from .algebra import OneForm, SPECS, ValidationError, WeightedPoly
 from .monodromy import LoopWord, PairingError, WordError, homology_class, pair_with_form
 from .numerics import (NumericsError, count_zeros, integrate_form,
                        shooting_oracle, trace_oval, zero_bound)
@@ -28,10 +28,6 @@ EXIT_VALIDATION = 2
 EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
-
-
-class ValidationError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +95,30 @@ def format_one_form(w: OneForm) -> str:
     return " ".join(parts)
 
 
-def _parse_grid(text: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
+def _parse_grid(text: str, number=float):
+    try:
+        vals = [number(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(f"cannot parse {text!r} as a comma-separated list") from None
     if not vals:
         raise ValidationError("empty grid")
     return vals
 
 
+def _parse_interval(text: str):
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:  # not two numbers
+        raise ValidationError(f"cannot parse interval {text!r}; expected lo:hi") from None
+    return lo, hi
+
+
 def _resolve_form(args) -> str:
     if getattr(args, "form_file", None):
-        return Path(args.form_file).read_text().strip()
+        try:
+            return Path(args.form_file).read_text().strip()
+        except OSError as exc:
+            raise ValidationError(f"cannot read --form-file: {exc}") from None
     if getattr(args, "form", None):
         return args.form
     raise ValidationError("a one-form is required (--form or --form-file)")
@@ -125,21 +135,6 @@ def _job_dir(base: Path, config: dict) -> Path:
 
 def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _first_genfn(spec, w, annulus, task):
-    """(generating function, its order) of the chain of w; a ValidationError
-    when every order it tests vanishes."""
-    if spec.kind == "quartic":
-        chain = francoise_chain(w, spec, annulus)
-        gf, k = chain.genfn, chain.k
-    else:
-        res = d4_chain(w)
-        gf, k = (None, None) if res.integrable else (res.m3, 3)
-    if gf is None:
-        raise ValidationError("perturbation is integrable to the tested order; "
-                              f"nothing to {task}")
-    return gf, k
 
 
 def _write_csv(path: Path, rows):
@@ -198,23 +193,27 @@ def _cmd_d4(args, out_base):
     w = parse_one_form(form_text)
     config = {"cmd": "d4", "form": form_text}
     job = _job_dir(out_base, config)
-    res = d4_chain(w)
-    ode = None
-    exps = None
-    if not res.integrable:
-        ode = d4_fuchs_ode(res.m3)
-        roots, rem = d4_local_exponents(ode, 0)
-        exps = [str(r) for r in roots]
-    result = {
-        "Q1": d4_canonical(res.Q1),
-        "q1": d4_canonical(res.q1),
-        "q2": d4_canonical(res.q2),
-        "M3": res.m3.to_json(),
-        "integrable": res.integrable,
-        "ode": ode.to_json() if ode else None,
-        "ode_text": ode.render() if ode else None,
-        "exponents_at_0": exps,
-    }
+    try:
+        res = d4_chain(w)
+    except D4ChainError as exc:  # M1 or M2 is nonzero: its periods are the result
+        result = exc.periods.to_json()
+    else:
+        ode = None
+        exps = None
+        if not res.integrable:
+            ode = d4_fuchs_ode(res.m3)
+            roots, rem = d4_local_exponents(ode, 0)
+            exps = [str(r) for r in roots]
+        result = {
+            "Q1": d4_canonical(res.Q1),
+            "q1": d4_canonical(res.q1),
+            "q2": d4_canonical(res.q2),
+            "M3": res.m3.to_json(),
+            "integrable": res.integrable,
+            "ode": ode.to_json() if ode else None,
+            "ode_text": ode.render() if ode else None,
+            "exponents_at_0": exps,
+        }
     _write_json(job / "d4.json", result)
     print(json.dumps(result, sort_keys=True, indent=2))
     return EXIT_OK
@@ -223,6 +222,7 @@ def _cmd_d4(args, out_base):
 def _cmd_sample(args, out_base):
     spec = SPECS[args.ham]
     grid = _parse_grid(args.t_grid)
+    moments = _parse_grid(args.moments, int)
     config = {"cmd": "sample", "ham": args.ham, "annulus": args.annulus,
               "t_grid": args.t_grid, "moments": args.moments,
               "quad_tol": args.quad_tol}
@@ -230,7 +230,7 @@ def _cmd_sample(args, out_base):
     rows = []
     for t in grid:
         ov = trace_oval(spec, t, args.annulus)
-        for k in [int(v) for v in args.moments.split(",")]:
+        for k in moments:
             kind = ("moment", k) if k >= 0 else ("inv_x_moment",)
             rows.append((t, integrate_form(ov, kind, epsrel=args.quad_tol),
                          "quadrature"))
@@ -248,14 +248,17 @@ def _cmd_compare(args, out_base):
     config = {"cmd": "compare", "ham": args.ham, "annulus": args.annulus,
               "form": form_text, "t_grid": args.t_grid, "eps_grid": args.eps_grid}
     job = _job_dir(out_base, config)
-    gf, sym_k = _first_genfn(spec, w, args.annulus, "compare")
-    samp = shooting_oracle(spec, w, args.annulus, grid, eps_grid=eps, symbolic=gf)
+    chain = francoise_chain(w, spec, args.annulus)
+    if chain.genfn is None:
+        raise ValidationError("perturbation is integrable to the tested order; "
+                              "nothing to compare")
+    samp = shooting_oracle(spec, w, args.annulus, grid, eps_grid=eps, symbolic=chain.genfn)
     rows = []
     for t, sv, bv in zip(samp.t_grid, samp.symbolic, samp.shooting):
         rows.append((t, sv, "symbolic"))
         rows.append((t, bv, "shooting"))
     _write_csv(job / "compare.csv", rows)
-    result = {"symbolic_k": sym_k, "fitted_k": samp.fitted_k,
+    result = {"symbolic_k": chain.k, "fitted_k": samp.fitted_k,
               "fit_residual": samp.fit_residual}
     _write_json(job / "compare.json", result)
     print((job / "compare.csv").read_text(), end="")
@@ -267,13 +270,17 @@ def _cmd_zeros(args, out_base):
     spec = SPECS[args.ham]
     form_text = _resolve_form(args)
     w = parse_one_form(form_text)
+    interval = _parse_interval(args.interval)
     config = {"cmd": "zeros", "ham": args.ham, "annulus": args.annulus,
               "form": form_text, "interval": args.interval, "samples": args.samples}
     job = _job_dir(out_base, config)
-    lo, hi = (float(v) for v in args.interval.split(":"))
-    gf, k = _first_genfn(spec, w, args.annulus, "count")
-    bound = zero_bound(spec, args.annulus, gf.n, k) if spec.kind == "quartic" else None
-    zc = count_zeros(gf, spec, args.annulus, (lo, hi), samples=args.samples,
+    chain = francoise_chain(w, spec, args.annulus)
+    if chain.genfn is None:
+        raise ValidationError("perturbation is integrable to the tested order; "
+                              "nothing to count")
+    bound = (zero_bound(spec, args.annulus, chain.genfn.n, chain.k)
+             if spec.kind == "quartic" else None)
+    zc = count_zeros(chain.genfn, spec, args.annulus, interval, samples=args.samples,
                      bound=bound)
     result = {"count": zc.count, "brackets": zc.brackets, "bound": zc.bound}
     _write_json(job / "zeros.json", result)
@@ -362,19 +369,31 @@ _DISPATCH = {
 }
 
 
+def _join_signed_values(argv):
+    """"--interval -3:-1" -> "--interval=-3:-1" for the options whose values
+    may start with "-" without being numbers, which argparse reads as options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--interval", "--t-grid", "--eps-grid"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     out_base = Path(args.out)
     try:
         return _DISPATCH[args.cmd](args, out_base)
-    except (ValidationError, WordError, ValueError) as exc:
+    except (ValidationError, WordError) as exc:
         print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}))
         return EXIT_VALIDATION
-    except (ShapeError, D4ChainError) as exc:
+    except ShapeError as exc:
         print(json.dumps({"error": {"kind": "shape", "message": str(exc)}}))
         return EXIT_SHAPE
     except (NumericsError, PairingError) as exc:

@@ -17,9 +17,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .algebra import D4_TRIANGLE, HamiltonianSpec, OneForm
-from .reduction import GeneratingFn
-from .triangle import D4GenFn
+from .algebra import D4_TRIANGLE, HamiltonianSpec, OneForm, ValidationError
 
 
 class NumericsError(RuntimeError):
@@ -139,7 +137,7 @@ def trace_oval(spec: HamiltonianSpec, t: float, annulus: str,
                margin: float = 1e-6) -> Oval:
     """Build the oval object for a level strictly inside the annulus."""
     if annulus not in spec.annuli:
-        raise NumericsError(f"unknown annulus {annulus!r} for {spec.name}")
+        raise ValidationError(f"unknown annulus {annulus!r} for {spec.name}")
     lo_t, hi_t = spec.sigma_range(annulus)
     width = (hi_t - lo_t) if math.isfinite(hi_t) else max(1.0, abs(t) + 1.0)
     if not (lo_t + margin * width < t) or (math.isfinite(hi_t) and not (t < hi_t - margin * width)):
@@ -248,47 +246,37 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     return oval.orientation * val
 
 
-# {(Hamiltonian, annulus, which moment, epsabs, epsrel): {level: value}}, keyed
-# on everything that changes the value.
+# {(Hamiltonian, annulus, period, epsabs, epsrel): {level: value}}, keyed on
+# everything that changes the value; a period is an integrand key of
+# integrate_form.
 _MOMENT_CACHE = {}
 
 
+def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11) -> list:
+    """Values of the periods in `basis` on the oval at level t, cached; the
+    missing ones are integrated over one traced oval."""
+    key, oval, values = float(t), None, []
+    for period in basis:
+        cache = _MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, period,
+                                          epsabs, epsrel), {})
+        if key not in cache:
+            oval = oval or trace_oval(spec, t, annulus)
+            cache[key] = integrate_form(oval, period, epsabs, epsrel)
+        values.append(cache[key])
+    return values
+
+
 def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
-    cache = _MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, k, epsabs, epsrel),
-                                     {})
-    key = float(t)
-    if key not in cache:
-        ov = trace_oval(spec, t, annulus)
-        cache[key] = integrate_form(ov, ("moment", k), epsabs, epsrel)
-    return cache[key]
-
-
-def d4_basis(t, epsabs=1e-13, epsrel=1e-11):
-    """(I_-1, I_0, I_*) on the triangle oval at level t."""
-    cache = _MOMENT_CACHE.setdefault((D4_TRIANGLE.name, "main", "basis", epsabs, epsrel), {})
-    key = float(t)
-    if key not in cache:
-        ov = trace_oval(D4_TRIANGLE, t, "main")
-        cache[key] = tuple(integrate_form(ov, kind, epsabs, epsrel)
-                           for kind in (("inv_x_moment",), ("moment", 0), ("star",)))
-    return cache[key]
+    return period_values(spec, annulus, t, (("moment", k),), epsabs, epsrel)[0]
 
 
 # ---------------------------------------------------------------------------
 # Symbolic generating functions evaluated through quadrature
 # ---------------------------------------------------------------------------
 
-def eval_genfn(gf, spec, annulus, t) -> float:
-    if isinstance(gf, D4GenFn):
-        i_m1, i0, istar = d4_basis(t)
-        return (float(gf.c_m1) * i_m1 + (float(gf.c0) + float(gf.c1) / t) * i0
-                + float(gf.cstar) / t * istar)
-    assert isinstance(gf, GeneratingFn)
-    i0 = moment(spec, annulus, t, 0)
-    i1 = moment(spec, annulus, t, 1)
-    i2 = moment(spec, annulus, t, 2)
-    val = gf.alpha(t) * i0 + gf.beta(t) * i1 + gf.gamma(t) * i2
-    return val / (t ** gf.pole_order)
+def eval_genfn(gf, spec, annulus, t, epsabs=1e-13, epsrel=1e-11) -> float:
+    """Float value at level t of a generating function of either family."""
+    return gf.combine(period_values(spec, annulus, t, gf.basis, epsabs, epsrel), t)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +548,7 @@ def integrate_ext_product(oval: Oval, elem, w: OneForm):
     return integrate_form(oval, (A, B))
 
 
-def d4_ode_residual(gf: D4GenFn, ode, t_values, h=2e-3):
+def d4_ode_residual(gf, ode, t_values, h=2e-3):
     """Worst relative residual of the sampled third-order equation.
 
     M3 is sampled by high-accuracy quadrature on five-point stencils; the
@@ -570,12 +558,9 @@ def d4_ode_residual(gf: D4GenFn, ode, t_values, h=2e-3):
     coeffs = [np.poly1d(list(reversed([float(c) for c in p.coeffs])) or [0.0])
               for p in ode.coeffs]
     a1, a2, a3 = coeffs[1], coeffs[2], coeffs[3]
-    cache = {}
 
     def M(t):
-        if t not in cache:
-            cache[t] = eval_genfn_precise(gf, t)
-        return cache[t]
+        return eval_genfn(gf, D4_TRIANGLE, "main", t, epsabs=1e-14, epsrel=1e-13)
 
     worst = 0.0
     for t in t_values:
@@ -588,24 +573,14 @@ def d4_ode_residual(gf: D4GenFn, ode, t_values, h=2e-3):
     return worst
 
 
-def eval_genfn_precise(gf: D4GenFn, t: float) -> float:
-    """Triangle generating function at tightened quadrature tolerance."""
-    ov = trace_oval(D4_TRIANGLE, t, "main")
-    i_m1 = integrate_form(ov, ("inv_x_moment",), epsabs=1e-14, epsrel=1e-13)
-    i0 = integrate_form(ov, ("moment", 0), epsabs=1e-14, epsrel=1e-13)
-    istar = integrate_form(ov, ("star",), epsabs=1e-14, epsrel=1e-13)
-    return (float(gf.c_m1) * i_m1 + (float(gf.c0) + float(gf.c1) / t) * i0
-            + float(gf.cstar) / t * istar)
-
-
-def fit_m3_log2(gf: D4GenFn, t_values=None):
+def fit_m3_log2(gf, t_values=None):
     """Log-square coefficient of M3 + (6 cstar)/t near the inner critical value."""
     if t_values is None:
         t_values = -np.logspace(-4, -2, 12)
     rows = []
     rhs = []
     for t in t_values:
-        val = eval_genfn(gf, None, None, float(t)) + 6.0 * float(gf.cstar) / t
+        val = eval_genfn(gf, D4_TRIANGLE, "main", float(t)) + 6.0 * float(gf.cstar) / t
         lt = math.log(abs(t))
         rows.append([1.0, lt * lt, lt])
         rhs.append(val)

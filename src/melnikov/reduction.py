@@ -11,9 +11,10 @@ The iteration that produces the first nonvanishing generating function
 multiplies the dH-coefficient of the previous step back onto the original
 perturbation and reduces again.  The reduction is linear, so the reducer
 reduces each unit monomial once and builds every stage as a sparse sum of
-cached entries.  That driver (UnitReducer), the ring element (ExtElem) and
-the exact reconstruction oracle (check_reconstruction) serve the triangle
-family too, which supplies only its moves, its dlog table and its ring data.
+cached entries.  That driver (UnitReducer), the ring element (ExtElem), the
+exact reconstruction oracle (check_reconstruction) and the chain loop
+(francoise_chain) serve the triangle family too, which supplies only its
+moves, its dlog table, its ring data and its chain hooks.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .algebra import (HamiltonianSpec, OneForm, WeightedPoly, normal_form, sigma)
+from .algebra import SPECS, HamiltonianSpec, OneForm, ValidationError, WeightedPoly
 from .upoly import Poly, exact_nullspace
 
 
@@ -88,17 +89,6 @@ def _nf_split(spec, poly_xy):
     return {k: v for k, v in out.items() if v}
 
 
-def _wp_to_levels(spec, p: WeightedPoly):
-    """WeightedPoly -> {h_power m: xy_dict} with x-exponents <= 3."""
-    buckets = {}
-    for (i, j, k), c in p.terms.items():
-        for dk, d in _nf_split(spec, {(i, j): c}).items():
-            tgt = buckets.setdefault(k + dk, {})
-            for key, cc in d.items():
-                _xy_add(tgt, key[0], key[1], cc)
-    return {m: v for m, v in buckets.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # Log-extended ring elements
 # ---------------------------------------------------------------------------
@@ -142,17 +132,6 @@ class ExtElem:
             poly.terms.pop(mono, None)
             if not poly.terms:
                 del self.entries[entry]
-
-    @classmethod
-    def from_poly(cls, p: WeightedPoly) -> "ExtElem":
-        """p at phi-level 0 of the quartic ring."""
-        e = cls()
-        e._accumulate((0, 0), p)
-        return e
-
-    @classmethod
-    def zero(cls) -> "ExtElem":
-        return cls()
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -429,6 +408,58 @@ class Reducer(UnitReducer):
     def _split(self, xy):
         return _nf_split(self.spec, xy)
 
+    # -- the family's hooks in francoise_chain -----------------------------
+
+    def items(self, w: OneForm):
+        return _form_items(w, self.spec)
+
+    def reduce(self, items) -> Reduction:
+        return self.run(items)
+
+    ring = property(lambda self: quartic_ring(self.spec))
+    normalize = staticmethod(lambda elem: elem)
+
+    def genfn(self, step: "ChainStep", n: int, annulus: str, check: bool):
+        if self.fold:
+            levels = [l for (l, _, i) in step.residue if l and i != 1]
+            if levels:
+                raise ShapeError(f"phi-level {min(levels)} residue did not cancel at step {step.k}")
+            if any(i == 1 for (_, _, i) in step.residue):
+                raise ShapeError("sigma_1 residue on a symmetric annulus")
+        else:
+            m = self.check_polynomial(step.omega, step.exact, step.q)
+            if check and m > (step.k - 1) * (n - 1) + n:
+                raise ShapeError("interior chain degree bound violated")
+        gf = GeneratingFn(step.k, annulus, self.spec.name, n,
+                          *_residue_polys(step.residue, polynomial=not self.fold))
+        if gf.is_zero():
+            return None
+        if check:
+            gf.check_shape()
+        return gf
+
+    def check_polynomial(self, items, exact: ExtElem, q: ExtElem) -> int:
+        """Shape checks of a reduction without the sigma_1 fold: exact and q
+        carry no phi and no H-pole, deg exact <= m + 1 and deg q <= m - 1 for
+        items of normal-form weighted degree m (H of weight two).  Returns m."""
+        if exact.phi_degree() or exact.max_pole() or q.phi_degree() or q.max_pole():
+            raise ShapeError("polynomial input produced extended-ring output")
+        m = max((i + j + 2 * n for (_, n, i, j, _), c in self._units(items).items() if c),
+                default=-1)
+        G, g = (e.entries.get((0, 0), WeightedPoly.zero()) for e in (exact, q))
+        if (not G.is_zero() and G.weighted_degree() > m + 1) \
+                or (not g.is_zero() and g.weighted_degree() > m - 1):
+            raise ShapeError("decomposition degree bounds violated")
+        return m
+
+    def check_q(self, q: ExtElem, k: int, n: int):
+        if self.fold:
+            check_q_shape(q, k, n)
+            if q.max_pole() > k:
+                raise ShapeError("H-pole exceeded the recursion depth cap")
+        elif q.entries.get((0, 0), WeightedPoly.zero()).weighted_degree() > k * (n - 1):
+            raise ShapeError("interior q degree bound violated")
+
     # -- individual moves on one unit monomial -----------------------------
 
     def _move_dy(self, l, m, i, j):
@@ -496,21 +527,6 @@ class Decomposition:
     alpha: Poly
     beta: Poly
     gamma: Poly
-    spec: HamiltonianSpec
-
-    def reconstruct(self) -> OneForm:
-        from .algebra import d as _d
-        w = _d(self.G, self.spec)
-        hx, hy = self.spec.grad()
-        ge = self.g.subst_h(self.spec.h_poly)
-        w = w + OneForm(ge * hx, ge * hy)
-        h = self.spec.h_poly
-        for poly, k in ((self.alpha, 0), (self.beta, 1), (self.gamma, 2)):
-            acc = WeightedPoly.zero()
-            for n, c in enumerate(poly.coeffs):
-                acc = acc + WeightedPoly.const(c) * h**n
-            w = w + sigma(k).mul_poly(acc)
-        return w
 
     def to_json(self):
         return {
@@ -529,7 +545,6 @@ class ExtDecomposition:
     g: ExtElem
     alpha: Poly
     gamma: Poly
-    spec: HamiltonianSpec
 
     def to_json(self):
         return {
@@ -540,70 +555,47 @@ class ExtDecomposition:
         }
 
 
-def _form_items(w: OneForm, spec):
-    a_levels = _wp_to_levels(spec, w.a)
-    b_levels = _wp_to_levels(spec, w.b)
-    items = {}
-    for m, d in a_levels.items():
-        items.setdefault((0, m), ({}, {}))
-        for (i, j), c in d.items():
-            _xy_add(items[(0, m)][0], i, j, c)
-    for m, d in b_levels.items():
-        items.setdefault((0, m), ({}, {}))
-        for (i, j), c in d.items():
-            _xy_add(items[(0, m)][1], i, j, c)
-    return items
+def _form_items(w: OneForm, spec: HamiltonianSpec):
+    """Reducer input {(*levels, n): (A, B)} of a polynomial one-form: w at log
+    level zero of the family's ring (phi for the quartic family, L and ln x for
+    the triangle), each H^n of w in the F-power slot.  It is not normal-formed:
+    the reducer normal-forms its input."""
+    origin = (0,) * (1 if spec.kind == "quartic" else 2) + (0,)
+    return _ext_items_from_q(ExtElem({origin: WeightedPoly.const(1)}), w)
 
 
-def _residue_h_poly(residue, idx) -> Poly:
-    coeffs = {}
-    for (l, m, i), c in residue.items():
-        if i == idx and l == 0:
-            coeffs[m] = coeffs.get(m, Fraction(0)) + c
-    if not coeffs:
-        return Poly()
-    if min(coeffs) < 0:
+def _residue_polys(residue, polynomial: bool):
+    """(pole, alpha, beta, gamma) with the phi-level-0 residue
+    H^-pole [alpha(H) sigma_0 + beta(H) sigma_1 + gamma(H) sigma_2]; a pole is
+    a ShapeError when the residue must be polynomial."""
+    pole, polys = _laurent_to_pole_poly([_residue_laurent(residue, 0, idx) for idx in range(3)])
+    if polynomial and pole:
         raise ShapeError("negative H power in a polynomial residue")
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for m, c in coeffs.items():
-        out[m] = c
-    return Poly(out)
+    return (pole, *polys)
 
 
 def decompose(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> Decomposition:
     """Full moment decomposition of a polynomial one-form (no phi, no poles)."""
-    red = Reducer(spec, fold_sigma1=False).run(_form_items(w, spec))
-    if red.exact.phi_degree() or red.exact.max_pole() or red.dh_coeff.phi_degree() \
-            or red.dh_coeff.max_pole():
-        raise ShapeError("polynomial input produced extended-ring output")
-    G = red.exact.entries.get((0, 0), WeightedPoly.zero())
-    g = red.dh_coeff.entries.get((0, 0), WeightedPoly.zero())
-    dec = Decomposition(G=G, g=g,
-                        alpha=_residue_h_poly(red.residue, 0),
-                        beta=_residue_h_poly(red.residue, 1),
-                        gamma=_residue_h_poly(red.residue, 2),
-                        spec=spec)
+    items = _form_items(w, spec)
+    reducer = Reducer(spec, fold_sigma1=False)
+    red = reducer.run(items)
     if check:
-        diff = dec.reconstruct() - OneForm(w.a.subst_h(spec.h_poly), w.b.subst_h(spec.h_poly))
-        if not (diff.a.is_zero() and diff.b.is_zero()):
-            raise ShapeError("decomposition failed to reconstruct its input")
-    m = w.weighted_degree()
-    if (not dec.G.is_zero() and dec.G.weighted_degree() > m + 1) \
-            or (not dec.g.is_zero() and dec.g.weighted_degree() > m - 1):
-        raise ShapeError("decomposition degree bounds violated")
-    return dec
+        check_reconstruction(reducer.ring, items, red)
+    reducer.check_polynomial(items, red.exact, red.dh_coeff)
+    _, alpha, beta, gamma = _residue_polys(red.residue, polynomial=True)
+    return Decomposition(G=red.exact.entries.get((0, 0), WeightedPoly.zero()),
+                         g=red.dh_coeff.entries.get((0, 0), WeightedPoly.zero()),
+                         alpha=alpha, beta=beta, gamma=gamma)
 
 
 def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtDecomposition:
     """Decomposition with the sigma_1 residue folded into phi (exterior annuli)."""
     items = _form_items(w, spec)
     red = Reducer(spec, fold_sigma1=True).run(items)
-    alpha = _residue_h_poly(red.residue, 0)
-    gamma = _residue_h_poly(red.residue, 2)
     if any(i == 1 for (_, _, i) in red.residue):
         raise ShapeError("sigma_1 residue survived the fold")
-    dec = ExtDecomposition(exact=red.exact, g=red.dh_coeff, alpha=alpha, gamma=gamma,
-                           spec=spec)
+    _, alpha, _, gamma = _residue_polys(red.residue, polynomial=True)
+    dec = ExtDecomposition(exact=red.exact, g=red.dh_coeff, alpha=alpha, gamma=gamma)
     if check:
         check_reconstruction(quartic_ring(spec), items, red)
     if dec.g.phi_degree() > 1:
@@ -748,11 +740,12 @@ def check_reconstruction(ring: LogRing, items, red: Reduction):
 
 @dataclass
 class GeneratingFn:
-    """First nonvanishing generating function of a chain.
+    """First nonvanishing generating function of a quartic chain.
 
     Represents M_k(t) = t^{-pole_order} [alpha(t) I0 + beta(t) I1 + gamma(t) I2]
     with exact polynomial coefficients; beta vanishes identically on the
-    symmetric (exterior-type) annuli.
+    symmetric (exterior-type) annuli.  I_i is the period of x^i y dx, the
+    integrand ("moment", i) of numerics.integrate_form.
     """
     k: int
     annulus: str
@@ -763,8 +756,16 @@ class GeneratingFn:
     beta: Poly
     gamma: Poly
 
+    basis = (("moment", 0), ("moment", 1), ("moment", 2))
+
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero() and self.gamma.is_zero()
+
+    def combine(self, values, t: float) -> float:
+        """M_k(t) from the float values of the basis periods at level t."""
+        i0, i1, i2 = values
+        return (self.alpha(t) * i0 + self.beta(t) * i1 + self.gamma(t) * i2) \
+            / (t ** self.pole_order)
 
     def to_json(self):
         return {
@@ -781,6 +782,8 @@ class GeneratingFn:
     def shape_bounds(self):
         """(max pole, max deg alpha, max deg gamma) structural bounds."""
         n, k = self.n, self.k
+        if not SPECS[self.hamiltonian].is_exterior(self.annulus):
+            return 0, (k * (n - 1)) // 2, (k * (n - 1) - 2) // 2
         odd = n % 2 == 1
         if k == 1:
             return 0, (n - 1) // 2, (n - 3) // 2
@@ -807,11 +810,6 @@ class GeneratingFn:
                 raise ShapeError(f"deg beta {self.beta.degree} exceeds bound {db}")
 
 
-def _interior_genfn(dec: Decomposition, k, annulus, ham, n) -> GeneratingFn:
-    return GeneratingFn(k=k, annulus=annulus, hamiltonian=ham, n=n, pole_order=0,
-                        alpha=dec.alpha, beta=dec.beta, gamma=dec.gamma)
-
-
 def _residue_laurent(residue, level, idx):
     """{h_power: coeff} of the sigma_idx residue at the given phi level."""
     out = {}
@@ -823,20 +821,9 @@ def _residue_laurent(residue, level, idx):
 
 def _laurent_to_pole_poly(laurents):
     """[{m: c}, ...] -> (pole, [Poly, ...]) sharing one pole order."""
-    pole = 0
-    for lau in laurents:
-        if lau:
-            pole = max(pole, -min(lau))
-    polys = []
-    for lau in laurents:
-        if not lau:
-            polys.append(Poly())
-            continue
-        coeffs = [Fraction(0)] * (max(lau) + pole + 1)
-        for m, c in lau.items():
-            coeffs[m + pole] = c
-        polys.append(Poly(coeffs))
-    return pole, polys
+    pole = max([0] + [-min(lau) for lau in laurents if lau])
+    return pole, [Poly([lau.get(m - pole, Fraction(0)) for m in range(max(lau) + pole + 1)])
+                  if lau else Poly() for lau in laurents]
 
 
 def check_q_shape(q: ExtElem, k: int, n: int):
@@ -862,7 +849,7 @@ def check_q_shape(q: ExtElem, k: int, n: int):
 @dataclass
 class ChainStep:
     k: int
-    omega: dict          # {(l, m): (xy A, xy B)} as fed to the reducer
+    omega: dict          # {(*levels, n): (xy A, xy B)} as fed to the reducer
     exact: ExtElem
     q: ExtElem
     residue: dict
@@ -870,8 +857,13 @@ class ChainStep:
 
 @dataclass
 class ChainResult:
-    k: int | None        # first index with nonzero generating function
-    genfn: GeneratingFn | None
+    """genfn is the first nonvanishing generating function (None if every
+    tested order vanishes) and k its order.  Every generating function has
+    `k`, `to_json()`, `basis` (the integrand keys of numerics.integrate_form
+    for the periods it combines) and `combine(values, t)` (its float value at
+    level t from the values of those periods)."""
+    k: int | None
+    genfn: object
     steps: list
     all_zero_up_to: int | None = None
 
@@ -899,82 +891,39 @@ def _ext_items_from_q(q: ExtElem, w: OneForm):
 
 def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
                     k_max: int = 6, check: bool = True) -> ChainResult:
-    """Iterate the reduction until the first nonvanishing generating function.
+    """Francoise's recursion: reduce q_(k-1) w, with q_0 = 1, until the first
+    step whose residue has a nonvanishing generating function.
 
-    Interior annuli stay polynomial; the symmetric annuli carry the phi-fold
-    and the vanishing of every positive phi-level of the residue is asserted
-    (it is forced by the independence of the generating function from the
-    additive constant in the primitive).
+    One loop serves every Hamiltonian and annulus; the family's reducer
+    supplies the hooks `items(w)` (the first input), `reduce(items)`, `ring`
+    (for the oracle), `normalize` (of exact and q), `genfn(step, n, annulus,
+    check)` (None when the residue's generating function vanishes; it runs
+    the family's residue checks) and `check_q(q, k, n)`.  On the symmetric
+    annuli the quartic reducer folds sigma_1 into phi.  The triangle chain,
+    specialized to quadratic perturbations, stops at k = 3.
     """
     if annulus not in spec.annuli:
-        raise ValueError(f"unknown annulus {annulus!r} for {spec.name}")
+        raise ValidationError(f"unknown annulus {annulus!r} for {spec.name}")
+    if spec.kind == "quartic":
+        family = Reducer(spec, fold_sigma1=spec.is_exterior(annulus))
+    else:
+        from . import triangle  # triangle imports this module
+        family, k_max = triangle.D4Reducer(), min(k_max, 3)
     n = max(w.weighted_degree(), 1)
-    exterior = spec.is_exterior(annulus)
+    items = family.items(w)
     steps = []
-    if not exterior:
-        omega = w
-        q_prev = None
-        for k in range(1, k_max + 1):
-            dec = decompose(omega, spec, check=check)
-            steps.append(ChainStep(k=k, omega=_form_items(omega, spec),
-                                   exact=ExtElem.from_poly(dec.G),
-                                   q=ExtElem.from_poly(dec.g), residue={}))
-            if not (dec.alpha.is_zero() and dec.beta.is_zero() and dec.gamma.is_zero()):
-                gf = _interior_genfn(dec, k, annulus, spec.name, n)
-                if check:
-                    gf_shape_interior(gf)
-                return ChainResult(k=k, genfn=gf, steps=steps)
-            q_prev = dec.g
-            if check and q_prev.weighted_degree() > k * (n - 1):
-                raise ShapeError("interior q degree bound violated")
-            omega = OneForm(normal_form(q_prev * w.a, spec), normal_form(q_prev * w.b, spec))
-            if check and omega.weighted_degree() > k * (n - 1) + n:
-                raise ShapeError("interior chain degree bound violated")
-        return ChainResult(k=None, genfn=None, steps=steps, all_zero_up_to=k_max)
-
-    items = _form_items(w, spec)
     for k in range(1, k_max + 1):
-        red = Reducer(spec, fold_sigma1=True).run(items)
+        red = family.reduce(items)
         if check:
-            check_reconstruction(quartic_ring(spec), items, red)
-        steps.append(ChainStep(k=k, omega=items, exact=red.exact, q=red.dh_coeff,
-                               residue=red.residue))
-        max_level = max((l for (l, _, _) in red.residue), default=0)
-        for l in range(1, max_level + 1):
-            for idx in (0, 2):
-                lau = _residue_laurent(red.residue, l, idx)
-                if lau:
-                    raise ShapeError(
-                        f"phi-level {l} residue did not cancel at step {k}")
-        if any(i == 1 for (_, _, i) in red.residue):
-            raise ShapeError("sigma_1 residue on a symmetric annulus")
-        a_lau = _residue_laurent(red.residue, 0, 0)
-        g_lau = _residue_laurent(red.residue, 0, 2)
-        if a_lau or g_lau:
-            pole, (alpha, gamma) = _laurent_to_pole_poly([a_lau, g_lau])
-            gf = GeneratingFn(k=k, annulus=annulus, hamiltonian=spec.name, n=n,
-                              pole_order=pole, alpha=alpha, beta=Poly(), gamma=gamma)
-            if check:
-                gf.check_shape()
+            check_reconstruction(family.ring, items, red)
+        step = ChainStep(k=k, omega=items, exact=family.normalize(red.exact),
+                         q=family.normalize(red.dh_coeff), residue=red.residue)
+        steps.append(step)
+        gf = family.genfn(step, n, annulus, check)
+        if gf is not None:
             return ChainResult(k=k, genfn=gf, steps=steps)
-        q = red.dh_coeff
         if check:
-            check_q_shape(q, k, n)
-            if q.max_pole() > k:
-                raise ShapeError("H-pole exceeded the recursion depth cap")
-        items = _ext_items_from_q(q, w)
+            family.check_q(step.q, k, n)
+        if k < k_max:
+            items = _ext_items_from_q(step.q, w)
     return ChainResult(k=None, genfn=None, steps=steps, all_zero_up_to=k_max)
-
-
-def gf_shape_interior(gf: GeneratingFn):
-    """Degree bounds for interior annuli: all three coefficients."""
-    n, k = gf.n, gf.k
-    da = (k * (n - 1)) // 2
-    db = (k * (n - 1) - 1) // 2
-    dg = (k * (n - 1) - 2) // 2
-    if not gf.alpha.is_zero() and gf.alpha.degree > da:
-        raise ShapeError("interior alpha degree bound violated")
-    if not gf.beta.is_zero() and gf.beta.degree > db:
-        raise ShapeError("interior beta degree bound violated")
-    if not gf.gamma.is_zero() and gf.gamma.degree > dg:
-        raise ShapeError("interior gamma degree bound violated")

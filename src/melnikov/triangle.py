@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import D4_TRIANGLE, OneForm, WeightedPoly
+from .algebra import D4_TRIANGLE, OneForm, ValidationError, WeightedPoly
 from .reduction import (ExtElem, LogRing, Reduction, ShapeError, UnitReducer, _DX, _DY,
-                        _add_scaled, _ext_from_terms, _ext_items_from_q, _nonzero,
-                        _xy_add, check_reconstruction)
+                        _add_scaled, _ext_from_terms, _form_items, _nonzero, _xy_add,
+                        francoise_chain)
 from .upoly import Poly, RatFn, normalize_coeff_vector, poly_gcd, ratfn_nullvector
 
 # df = FX dx + FY dy for f = x y^2 - x^3 + 6 x^2 - 9 x
@@ -90,6 +90,15 @@ def d4_canonical(elem: ExtElem) -> str:
 # The reducer
 # ---------------------------------------------------------------------------
 
+def _form_to_items(w: OneForm):
+    """The chain's first items: w, a quadratic form polynomial in x and y."""
+    if w.weighted_degree() > 2:
+        raise ValidationError("the triangle engine is specialized to quadratic one-forms")
+    if any(k for poly in (w.a, w.b) for (_, _, k) in poly.terms):
+        raise ValidationError("triangle perturbations must be polynomial in x, y")
+    return _form_items(w, D4_TRIANGLE)
+
+
 # A unit monomial L^a X^b f^p x^m y^j (dx | dy) is keyed (a, b, p, m, j, kind);
 # the balanced form L^a f^p (x - 1) y dx is keyed (a, 0, p, _BALANCED).
 _BALANCED = 2
@@ -110,6 +119,31 @@ class D4Reducer(UnitReducer):
     # dL = f^-1 (2xy dx + (6x - 2x^2) dy) and dX = x^-1 dx
     DLOG = ((-1, ((_WLX, _DX), (_WLY, _DY))), (0, (({(-1, 0): Fraction(1)}, _DX),)))
     cache_key = ("d4-triangle",)
+
+    # -- the family's hooks in francoise_chain -----------------------------
+
+    items = staticmethod(_form_to_items)
+    ring = TRIANGLE_RING
+    normalize = staticmethod(normalized)
+
+    def reduce(self, items) -> Reduction:
+        return reduce_full(items)
+
+    def genfn(self, step, n, annulus, check):
+        periods = periods_of_residue(step.residue, step.k)
+        if step.k == 3:
+            m3 = _genfn_from_periods(periods)
+            return None if m3.is_zero() else m3
+        if not periods.is_zero():
+            return periods
+        if step.residue:
+            raise ShapeError(f"vanishing {('first', 'second')[step.k - 1]} step left an "
+                             "unconvertible residue")
+        return None
+
+    def check_q(self, q: ExtElem, k: int, n: int):
+        if k < 3 and (q.phi_degree() > k or q.max_pole() > k - 1):
+            raise ShapeError(f"q{k} outside the expected log/pole pattern")
 
     def _move_dy(self, a, b, p, m, j):
         self._emit_d((a, b), p, {(m, j + 1): Fraction(1, j + 1)})
@@ -193,33 +227,43 @@ def reduce_full(items) -> Reduction:
 # Period values: I_m, K_m and the log period
 # ---------------------------------------------------------------------------
 
+# The integrand keys (numerics.integrate_form) of int y dx / x, int y dx and
+# int y (x-1) ln x dx, the periods of the triangle's generating functions.
+_BASIS = (("inv_x_moment",), ("moment", 0), ("star",))
+
+
 @dataclass
 class D4Periods:
     """Value of a cycle integral as Laurent data over the basis periods.
 
     Each field maps an integer f-power p to the rational coefficient of
     t^p multiplying the basis period: i_m1 ~ int y dx / x, i0 ~ int y dx,
-    istar ~ int y (x-1) ln x dx.
+    istar ~ int y (x-1) ln x dx.  A nonzero M1 or M2 of the chain is one of
+    these, with k its order.
     """
     i_m1: dict
     i0: dict
     istar: dict
+    k: int | None = None
+
+    basis = _BASIS
 
     def is_zero(self):
         return not (self.i_m1 or self.i0 or self.istar)
 
+    def combine(self, values, t: float) -> float:
+        return sum(float(c) * t ** p * v
+                   for lau, v in zip((self.i_m1, self.i0, self.istar), values)
+                   for p, c in sorted(lau.items()))
 
-def _lau_add(d, p, c):
-    if c == 0:
-        return
-    s = d.get(p, Fraction(0)) + c
-    if s:
-        d[p] = s
-    else:
-        d.pop(p, None)
+    def to_json(self):
+        return {"k": self.k,
+                "periods": {name: {str(p): str(c) for p, c in sorted(lau.items())}
+                            for name, lau in (("i_m1", self.i_m1), ("i0", self.i0),
+                                              ("istar", self.istar))}}
 
 
-def periods_of_residue(residue) -> D4Periods:
+def periods_of_residue(residue, k=None) -> D4Periods:
     """Integrate a canonical residue over the oval family.
 
     The reflection y -> -y maps the oval onto itself reversing orientation
@@ -229,32 +273,24 @@ def periods_of_residue(residue) -> D4Periods:
     before calling this.  Pure log-x moments must combine into the single
     basis period, which is asserted here.
     """
-    i_m1, i0, istar = {}, {}, {}
-    k_lau = {}
+    i_m1, i0, k_lau, istar = {}, {}, {}, {}
     for (a, b, p, m), c in residue.items():
-        if a >= 1:
-            if a % 2 == 1:
-                continue  # odd L power: zero by the symmetry of the oval
+        if a % 2 == 1:
+            continue  # odd L power: zero by the symmetry of the oval
+        if a:
             raise ShapeError("even positive power of L in a period residue")
-        if b == 0:
-            if m == -1:
-                _lau_add(i_m1, p, c)
-            else:
-                _lau_add(i0, p, c)  # both I_0 and I_1 integrate to I_0
-        elif b == 1:
-            _lau_add(k_lau, (p, m), c)
-        else:
+        if b > 1:
             raise ShapeError("log-x power above one in a period residue")
+        # both I_0 and I_1 integrate to I_0
+        dst, key = (i_m1 if m == -1 else i0, p) if b == 0 else (k_lau, (p, m))
+        dst[key] = dst.get(key, 0) + c
     # the log moments must enter through (x - 1) y ln x dx
-    ps = {p for (p, _) in k_lau}
-    for p in ps:
-        s_m1 = k_lau.get((p, -1), Fraction(0))
-        s0 = k_lau.get((p, 0), Fraction(0))
-        s1 = k_lau.get((p, 1), Fraction(0))
-        if s_m1 != 0 or s0 + s1 != 0:
+    for p in {p for (p, _) in k_lau}:
+        s_m1, s0, s1 = (k_lau.get((p, m), 0) for m in (-1, 0, 1))
+        if s_m1 or s0 + s1:
             raise ShapeError("log moments outside the basis combination")
-        _lau_add(istar, p, s1)
-    return D4Periods(i_m1=i_m1, i0=i0, istar=istar)
+        istar[p] = s1
+    return D4Periods(_nonzero(i_m1), _nonzero(i0), _nonzero(istar), k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +369,14 @@ class D4GenFn:
     c1: Fraction
     cstar: Fraction
 
+    k = 3
+    basis = _BASIS
+
+    def combine(self, values, t: float) -> float:
+        i_m1, i0, istar = values
+        return (float(self.c_m1) * i_m1 + (float(self.c0) + float(self.c1) / t) * i0
+                + float(self.cstar) / t * istar)
+
     def abgd(self):
         """(alpha, beta, gamma, delta) with t M3 = (alpha + beta t) I0 + gamma I2 + delta I*.
 
@@ -366,80 +410,29 @@ class D4ChainResult:
     omega3_residue: dict
 
 
-def _form_to_items(w: OneForm):
-    adx, ady = {}, {}
-    for (i, j, k), c in w.a.terms.items():
-        if k:
-            raise ValueError("triangle perturbations must be polynomial in x, y")
-        _xy_add(adx, i, j, c)
-    for (i, j, k), c in w.b.terms.items():
-        if k:
-            raise ValueError("triangle perturbations must be polynomial in x, y")
-        _xy_add(ady, i, j, c)
-    return {(0, 0, 0): (adx, ady)}
-
-
 def _genfn_from_periods(per: D4Periods) -> D4GenFn:
-    def pick(lau, allowed):
-        bad = {p for p in lau if p not in allowed}
-        if bad:
-            raise ShapeError(f"t-powers {sorted(bad)} outside the expected shape")
-        return {p: lau[p] for p in lau}
-
-    a = pick(per.i_m1, {0})
-    b = pick(per.i0, {0, -1})
-    s = pick(per.istar, {-1})
-    return D4GenFn(c_m1=a.get(0, Fraction(0)),
-                   c0=b.get(0, Fraction(0)),
-                   c1=b.get(-1, Fraction(0)),
-                   cstar=s.get(-1, Fraction(0)))
+    for lau, allowed in ((per.i_m1, {0}), (per.i0, {0, -1}), (per.istar, {-1})):
+        if set(lau) - allowed:
+            raise ShapeError(f"t-powers {sorted(set(lau) - allowed)} outside the expected shape")
+    zero = Fraction(0)
+    return D4GenFn(c_m1=per.i_m1.get(0, zero), c0=per.i0.get(0, zero),
+                   c1=per.i0.get(-1, zero), cstar=per.istar.get(-1, zero))
 
 
 def d4_chain(w: OneForm, check: bool = True) -> D4ChainResult:
-    """Run the three-step chain for a quadratic perturbation of the triangle.
+    """The three-step chain of a quadratic perturbation of the triangle.
 
-    Requires the first two generating functions to vanish identically; the
-    call verifies this and raises D4ChainError with the offending residue
-    otherwise.  For an exact perturbation every step vanishes and the
-    result is flagged integrable.
+    Requires the first two generating functions to vanish identically and
+    raises D4ChainError with the nonzero periods otherwise.  For an exact
+    perturbation every step vanishes and the result is flagged integrable.
     """
-    if w.weighted_degree() > 2:
-        raise ValueError("the triangle engine is specialized to quadratic one-forms")
-    items1 = _form_to_items(w)
-    red1 = reduce_full(items1)
-    if check:
-        check_reconstruction(TRIANGLE_RING, items1, red1)
-    per1 = periods_of_residue(red1.residue)
-    if not per1.is_zero():
-        raise D4ChainError("M1 nonzero", periods=per1)
-    if red1.residue:
-        raise ShapeError("vanishing first step left an unconvertible residue")
-    q1, Q1 = normalized(red1.dh_coeff), normalized(red1.exact)
-    if check and (q1.phi_degree() > 1 or q1.max_pole() > 0):
-        raise ShapeError("q1 outside the expected log/pole pattern")
-
-    items2 = _ext_items_from_q(q1, w)
-    red2 = reduce_full(items2)
-    if check:
-        check_reconstruction(TRIANGLE_RING, items2, red2)
-    per2 = periods_of_residue(red2.residue)
-    if not per2.is_zero():
-        raise D4ChainError("M2 nonzero", periods=per2)
-    if red2.residue:
-        raise ShapeError("vanishing second step left an unconvertible residue")
-    q2, Q2 = normalized(red2.dh_coeff), normalized(red2.exact)
-    if check:
-        if q2.phi_degree() > 2 or q2.max_pole() > 1:
-            raise ShapeError("q2 outside the expected log/pole pattern")
-
-    items3 = _ext_items_from_q(q2, w)
-    red3 = reduce_full(items3)
-    if check:
-        check_reconstruction(TRIANGLE_RING, items3, red3)
-    per3 = periods_of_residue(red3.residue)
-    m3 = _genfn_from_periods(per3)
-    return D4ChainResult(q1=q1, q2=q2, Q1=Q1, Q2=Q2, m3=m3,
-                         integrable=m3.is_zero(), omega3_residue=red3.residue)
+    chain = francoise_chain(w, D4_TRIANGLE, "main", k_max=3, check=check)
+    if chain.k in (1, 2):
+        raise D4ChainError(f"M{chain.k} nonzero", periods=chain.genfn)
+    s1, s2, s3 = chain.steps
+    m3 = chain.genfn if chain.genfn is not None else D4GenFn(*[Fraction(0)] * 4)
+    return D4ChainResult(q1=s1.q, q2=s2.q, Q1=s1.exact, Q2=s2.exact, m3=m3,
+                         integrable=chain.genfn is None, omega3_residue=s3.residue)
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,75 @@ def test_melnikov_rejects_the_triangle_before_any_work(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_shape_error_exit_code(capsys, tmp_path):
-    code, out = run(capsys, tmp_path, "d4", "--form", "y dx")
+def test_shape_error_exit_code(capsys, tmp_path, monkeypatch):
+    def broken(args, out_base):
+        raise cli.ShapeError("q_1 has phi-degree 2 > 1")
+
+    monkeypatch.setitem(cli._DISPATCH, "pair", broken)
+    code, out = run(capsys, tmp_path, "pair", "--word", "d")
     assert code == 3
+    assert json.loads(out)["error"] == {"kind": "shape", "message": "q_1 has phi-degree 2 > 1"}
+
+
+def test_d4_nonzero_m1_is_a_result(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "d4", "--form", "y dx")
+    assert code == 0
+    data = json.loads(out)
+    assert data == {"k": 1, "periods": {"i0": {"0": "1"}, "i_m1": {}, "istar": {}}}
+    (job,) = tmp_path.iterdir()
+    assert json.loads((job / "d4.json").read_text()) == data
+
+
+def test_compare_on_a_triangle_form_with_nonzero_m1(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "compare", "--ham", "d4-triangle", "--annulus", "main",
+                    "--form", "y dx", "--t-grid=-2.0")
+    assert code == 0
+    data = json.loads(out[out.index("{"):])
+    assert data["symbolic_k"] == data["fitted_k"] == 1
+    rows = [line.split(",") for line in out[:out.index("{")].splitlines()[1:]]
+    symbolic = float(rows[0][1])
+    shooting = float(rows[1][1].removeprefix("np.float64(").removesuffix(")"))
+    assert abs(symbolic - shooting) < 1e-3 * abs(symbolic)
+
+
+def test_negative_option_values_in_the_space_separated_form(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "zeros", "--ham", "d4-triangle", "--annulus", "main",
+                    "--form", "-2 dy + 1 x dy - 1/2 x^2 dy", "--interval", "-3:-1")
+    assert code == 0
+    assert out == '{\n  "bound": null,\n  "brackets": [],\n  "count": 0\n}\n'
+    code, out = run(capsys, tmp_path, "sample", "--ham", "d4-triangle", "--annulus", "main",
+                    "--t-grid", "-3,-2", "--moments", "0")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-3.0", "-2.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("melnikov", "--ham", "eight-loop", "--annulus", "bogus", "--form", "y dx"),
+    ("zeros", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--interval", "1"),
+    ("compare", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--t-grid", "0.5,abc"),
+    ("sample", "--ham", "eight-loop", "--annulus", "exterior", "--t-grid", "0.5",
+     "--moments", "0,one"),
+    ("sample", "--ham", "eight-loop", "--annulus", "bogus", "--t-grid", "0.5"),
+    ("melnikov", "--ham", "eight-loop", "--annulus", "exterior", "--form-file", "no/such/file"),
+])
+def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
+    code, out = run(capsys, tmp_path, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
+def test_a_package_value_error_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    def broken(args, out_base):
+        raise ValueError("matrix has full rank; no left null vector")
+
+    monkeypatch.setitem(cli._DISPATCH, "pair", broken)
+    code, out = run(capsys, tmp_path, "pair", "--word", "d")
+    assert code == cli.EXIT_INTERNAL == 5
+    err = json.loads(out)["error"]
+    assert err["kind"] == "internal"
+    assert err["message"].startswith("ValueError")
 
 
 def test_numeric_error_exit_code(capsys, tmp_path):

@@ -177,3 +177,23 @@ def test_phi_matches_universal_differential():
         py = (phi(x, y + eps) - phi(x, y - eps)) / (2 * eps)
         assert abs(px - 2 * x * y / (4 * h)) < 1e-7
         assert abs(py + (x * x - spec.e) / (4 * h)) < 1e-7
+
+
+@pytest.mark.parametrize("spec, annulus, w", [
+    (EIGHT_LOOP, "interior_right", OneForm(Y, WeightedPoly.zero())),
+    (EIGHT_LOOP, "exterior", OneForm(Y**3, WeightedPoly.zero())),
+    (D4_TRIANGLE, "main", OneForm(Y, WeightedPoly.zero())),
+])
+def test_chain_checks_every_reduction_with_the_oracle(monkeypatch, spec, annulus, w):
+    """The one chain loop passes each family's reduction through the exact
+    oracle: a reduction that lost its residue fails with check=True only."""
+    from dataclasses import replace
+    from melnikov import reduction, triangle
+    from melnikov.reduction import ShapeError
+    run, full = reduction.Reducer.run, triangle.reduce_full
+    monkeypatch.setattr(reduction.Reducer, "run",
+                        lambda self, items: replace(run(self, items), residue={}))
+    monkeypatch.setattr(triangle, "reduce_full", lambda items: replace(full(items), residue={}))
+    with pytest.raises(ShapeError, match="does not reconstruct"):
+        francoise_chain(w, spec, annulus, k_max=3)
+    assert francoise_chain(w, spec, annulus, k_max=3, check=False).genfn is None

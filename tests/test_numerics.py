@@ -9,7 +9,7 @@ from melnikov.algebra import (
     D4_TRIANGLE, d,
 )
 from melnikov.numerics import (
-    trace_oval, integrate_form, moment, d4_basis, eval_genfn, phi_check,
+    trace_oval, integrate_form, moment, period_values, eval_genfn, phi_check,
     shooting_oracle, count_zeros, zero_bound, fit_istar_asymptotics,
     NumericsError, _period_estimate,
 )
@@ -175,13 +175,28 @@ def test_period_estimate_reasonable():
     assert 1.0 < T < 20.0
 
 
+_D4_BASIS = (("inv_x_moment",), ("moment", 0), ("star",))
+
+
 def test_moment_caches_keyed_on_tolerances():
     """A value cached at loose tolerance is not returned for a later default call
     (the loose values below differ from the default ones in the last digits)."""
     from melnikov import numerics
     numerics._MOMENT_CACHE.clear()
     moment(EIGHT_LOOP, "exterior", 0.3, 0, epsabs=1e-3, epsrel=1e-3)
-    d4_basis(-3.0, epsabs=1e-4, epsrel=1e-4)
-    after = moment(EIGHT_LOOP, "exterior", 0.3, 0), d4_basis(-3.0)
+    period_values(D4_TRIANGLE, "main", -3.0, _D4_BASIS, epsabs=1e-4, epsrel=1e-4)
+    after = moment(EIGHT_LOOP, "exterior", 0.3, 0), period_values(D4_TRIANGLE, "main", -3.0,
+                                                                  _D4_BASIS)
     numerics._MOMENT_CACHE.clear()
-    assert after == (moment(EIGHT_LOOP, "exterior", 0.3, 0), d4_basis(-3.0))
+    assert after == (moment(EIGHT_LOOP, "exterior", 0.3, 0),
+                     period_values(D4_TRIANGLE, "main", -3.0, _D4_BASIS))
+
+
+def test_period_values_use_the_requested_tolerance():
+    """Each period is integrated at the tolerance asked for (the loose values
+    differ from the default ones in the last digits)."""
+    from melnikov import numerics
+    numerics._MOMENT_CACHE.clear()
+    loose = period_values(D4_TRIANGLE, "main", -3.0, _D4_BASIS, epsabs=1e-4, epsrel=1e-4)
+    numerics._MOMENT_CACHE.clear()
+    assert loose != period_values(D4_TRIANGLE, "main", -3.0, _D4_BASIS)

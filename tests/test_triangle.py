@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE
-from melnikov.reduction import ExtElem, ShapeError, _ext_items_from_q, check_reconstruction
+from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE, ValidationError
+from melnikov.reduction import (ExtElem, ShapeError, _ext_items_from_q, check_reconstruction,
+                                francoise_chain)
 from melnikov.triangle import (
     TRIANGLE_RING, D4Reducer, D4ChainError, D4GenFn, FuchsOde,
     d4_chain, d4_reduce_moments, d4_fuchs_ode, derive_fuchs_ode,
@@ -75,6 +76,27 @@ def test_exact_perturbation_is_integrable():
     res = d4_chain(w)
     assert res.integrable
     assert res.m3.is_zero()
+
+
+def test_triangle_chain_stops_at_the_third_order():
+    """The one chain loop runs the triangle to k = 3 whatever k_max says, and a
+    nonzero M1 is its result."""
+    w = OneForm(Y, X)  # d(xy)
+    res = francoise_chain(w, D4_TRIANGLE, "main", k_max=6)
+    assert res.genfn is None and res.all_zero_up_to == 3 and len(res.steps) == 3
+    m1 = francoise_chain(OneForm(Y, WeightedPoly.zero()), D4_TRIANGLE, "main").genfn
+    assert (m1.k, m1.i0, m1.i_m1, m1.istar) == (1, {0: 1}, {}, {})
+    # 2 y^2 dx - (x y + 1) dy: M1 = 0, M2 = -5/2 int y dx / x
+    w = OneForm(2 * Y**2, -X * Y - 1)
+    m2 = francoise_chain(w, D4_TRIANGLE, "main").genfn
+    assert (m2.k, m2.i0, m2.i_m1, m2.istar) == (2, {}, {0: Fraction(-5, 2)}, {})
+
+
+def test_triangle_input_checks_are_validation_errors():
+    with pytest.raises(ValidationError, match="quadratic"):
+        francoise_chain(OneForm(X**3, WeightedPoly.zero()), D4_TRIANGLE, "main")
+    with pytest.raises(ValidationError, match="polynomial in x, y"):
+        d4_chain(OneForm(WeightedPoly.var_h(), WeightedPoly.zero()))
 
 
 def test_nonvanishing_first_step_reported():
