@@ -391,7 +391,7 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
         eps_grid = [1e-3, 2e-3, 4e-3, 8e-3]
     eps_grid = sorted(eps_grid)
     if len(eps_grid) < 4 or not all(0 < e <= 1e-2 for e in eps_grid):
-        raise NumericsError("need at least four epsilon values in (0, 1e-2]")
+        raise ValidationError("need at least four epsilon values in (0, 1e-2]")
     h = spec.h_poly
     hx, hy = h.dx(), h.dy()
     fpol = -w.b

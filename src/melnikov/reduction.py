@@ -904,6 +904,8 @@ def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
     """
     if annulus not in spec.annuli:
         raise ValidationError(f"unknown annulus {annulus!r} for {spec.name}")
+    if k_max < 1:
+        raise ValidationError(f"k_max must be at least 1, got {k_max}")
     if spec.kind == "quartic":
         family = Reducer(spec, fold_sigma1=spec.is_exterior(annulus))
     else:

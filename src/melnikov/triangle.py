@@ -7,10 +7,13 @@ f dL = 2xy dx + (6x - 2x^2) dy, and X = ln x.  On the level set f = t the
 periods of x^m y dx (written I_m) obey a four-term recursion, the two lowest
 log moments combine into the single new period int y (x-1) ln x dx, and the
 generating functions of quadratic perturbations with two vanishing orders
-land in the span of I_-1, I_0 and that log period.
+land in the span of I_-1, I_0 and that log period.  The third-order
+equation of M3 is derived from the Gauss-Manin matrix of that basis, which
+in turn is derived from the reducer's moves (`gauss_manin`).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -294,60 +297,6 @@ def periods_of_residue(residue, k=None) -> D4Periods:
 
 
 # ---------------------------------------------------------------------------
-# Moment reduction (public symbolic operation)
-# ---------------------------------------------------------------------------
-
-def d4_reduce_moments(expr: dict) -> dict:
-    """Reduce {('I', m) | ('Istar',): RatFn} to the basis I_-1, I_0, I_2, I_*.
-
-    Uses the equality of the two lowest moments and the four-term recursion
-    (2k+6) I_(k+1) = (12k+18) I_k - 18k I_(k-1) - (2k-3) t I_(k-2).
-    """
-    t = RatFn(Poly([0, 1]))
-    work = {}
-    for key, val in expr.items():
-        if not isinstance(val, RatFn):
-            val = RatFn(val) if isinstance(val, Poly) else RatFn.const(val)
-        work[key] = work.get(key, RatFn.const(0)) + val
-    out = {}
-
-    def add(key, val):
-        out[key] = out.get(key, RatFn.const(0)) + val
-
-    guard = 0
-    while work:
-        key, val = work.popitem()
-        if val.is_zero():
-            continue
-        guard += 1
-        if guard > 10_000:
-            raise ShapeError("moment reduction failed to terminate")
-        if key == ("Istar",):
-            add(key, val)
-            continue
-        m = key[1]
-        if m in (-1, 0, 2):
-            add(key, val)
-        elif m == 1:
-            work[("I", 0)] = work.get(("I", 0), RatFn.const(0)) + val
-        elif m >= 3:
-            k = m - 1
-            den = Fraction(2 * k + 6)
-            for mm, coef in (((k), RatFn.const(Fraction(12 * k + 18) / den)),
-                             ((k - 1), RatFn.const(Fraction(-18 * k) / den)),
-                             ((k - 2), t * RatFn.const(Fraction(-(2 * k - 3)) / den))):
-                work[("I", mm)] = work.get(("I", mm), RatFn.const(0)) + val * coef
-        else:  # m <= -2
-            k = m + 2
-            den = RatFn.const(Fraction(2 * k - 3)) * t
-            for mm, coef in (((k + 1), RatFn.const(Fraction(-(2 * k + 6)))),
-                             ((k), RatFn.const(Fraction(12 * k + 18))),
-                             ((k - 1), RatFn.const(Fraction(-18 * k)))):
-                work[("I", mm)] = work.get(("I", mm), RatFn.const(0)) + val * coef / den
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-# ---------------------------------------------------------------------------
 # The chain for quadratic perturbations
 # ---------------------------------------------------------------------------
 
@@ -376,20 +325,6 @@ class D4GenFn:
         i_m1, i0, istar = values
         return (float(self.c_m1) * i_m1 + (float(self.c0) + float(self.c1) / t) * i0
                 + float(self.cstar) / t * istar)
-
-    def abgd(self):
-        """(alpha, beta, gamma, delta) with t M3 = (alpha + beta t) I0 + gamma I2 + delta I*.
-
-        The translation eliminates the lowest moment through
-        t I_-1 = 8 I_2 - 12 I_0.
-        """
-        return (self.c1 - 12 * self.c_m1, self.c0, 8 * self.c_m1, self.cstar)
-
-    @classmethod
-    def from_abgd(cls, alpha, beta, gamma, delta):
-        c_m1 = Fraction(gamma) / 8
-        return cls(c_m1=c_m1, c0=Fraction(beta), c1=Fraction(alpha) + 12 * c_m1,
-                   cstar=Fraction(delta))
 
     def is_zero(self):
         return not (self.c_m1 or self.c0 or self.c1 or self.cstar)
@@ -436,18 +371,22 @@ def d4_chain(w: OneForm, check: bool = True) -> D4ChainResult:
 
 
 # ---------------------------------------------------------------------------
-# Fuchsian equation machinery
+# The Gauss-Manin system of the basis periods, derived from the reducer
 # ---------------------------------------------------------------------------
 
-def pf_matrix():
-    """Matrix A with (I*, I2, I0)^T = A d/dt (I*, I2, I0)^T."""
-    t = Poly([0, 1])
-    return [
-        [RatFn(t), RatFn.const(-2), RatFn(t + Poly.const(6))],
-        [RatFn.const(0), RatFn(Fraction(3, 4) * (t - Poly.const(6))),
-         RatFn(Fraction(3, 2) * (t + Poly.const(9)))],
-        [RatFn.const(0), RatFn.const(-3), RatFn(Fraction(3, 2) * (t + Poly.const(6)))],
-    ]
+# On f = t, d/dt y^2 = 1/x, so the period of the lift (2/3) g y^3 dx has the
+# t-derivative int (g/x) y dx.  With g = 1, x and x (x - 1) ln x these
+# derivatives are the basis periods B = (I_-1, I_0, I*).
+_LIFTS = ({(0, 0, 0): ({(0, 3): Fraction(2, 3)}, {})},
+          {(0, 0, 0): ({(1, 3): Fraction(2, 3)}, {})},
+          {(0, 1, 0): ({(2, 3): Fraction(2, 3), (1, 3): Fraction(-2, 3)}, {})})
+
+
+def _laurent_ratfn(lau: dict) -> RatFn:
+    """sum_p c_p t^p as a rational function of t."""
+    low = min(0, min(lau, default=0))
+    num = Poly([lau.get(p + low, 0) for p in range(max(lau, default=0) - low + 1)])
+    return RatFn(num, Poly.monomial(1, -low))
 
 
 def _mat_inv3(A):
@@ -466,16 +405,30 @@ def _mat_inv3(A):
     return [[cof[j][i] / det for j in range(3)] for i in range(3)]
 
 
-def _row_step(v, Ainv):
-    """v -> v' + v A^{-1} (the derivative of v . I using I' = A^{-1} I)."""
-    out = []
-    for j in range(3):
-        acc = v[j].derivative()
-        for i in range(3):
-            acc = acc + v[i] * Ainv[i][j]
-        out.append(acc)
-    return out
+def _row_step(v, G):
+    """v -> v' + v G: the derivative of v . B, with B' = G B."""
+    return [sum((v[i] * G[i][j] for i in range(3)), v[j].derivative()) for j in range(3)]
 
+
+@functools.cache
+def gauss_manin():
+    """The matrix G with B' = G B for B = (I_-1, I_0, I*), over Q(t).
+
+    Each lift reduces to R_i . B (its residue's periods), so B = R' B + R B'
+    and G = R^-1 (1 - R').
+    """
+    R = [[_laurent_ratfn(lau) for lau in (per.i_m1, per.i0, per.istar)]
+         for per in (periods_of_residue(reduce_full(lift).residue) for lift in _LIFTS)]
+    rhs = [[RatFn.const(int(i == j)) - R[i][j].derivative() for j in range(3)]
+           for i in range(3)]
+    Rinv = _mat_inv3(R)
+    return tuple(tuple(sum((Rinv[i][k] * rhs[k][j] for k in range(3)), RatFn.const(0))
+                       for j in range(3)) for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# Fuchsian equation machinery
+# ---------------------------------------------------------------------------
 
 @dataclass
 class FuchsOde:
@@ -536,65 +489,23 @@ def _singular_points(coeffs):
 
 
 def d4_fuchs_ode(gf: D4GenFn) -> FuchsOde:
-    """Third-order equation for M3 via the degree-three coefficient data.
+    """Third-order equation for M3 from the Gauss-Manin matrix.
 
-    Expands D P u'' + (t P - D P') u' + Q u = 0 with u = t^2 M3' and
-    D = t (t + 4); P and Q are the recorded quadratic forms in the
-    (alpha, beta, gamma, delta) parameters.
+    M3 = r_0 . B with r_0 = (c_m1, c0 + c1/t, cstar/t), and its k-th
+    derivative is r_k . B with r_(k+1) = r_k' + r_k G.  The left null vector
+    (a_1, a_2, a_3) of (r_1, r_2, r_3) gives a_3 M3''' + a_2 M3'' + a_1 M3' = 0.
     """
-    alpha, beta, gamma, delta = gf.abgd()
-    if not any((alpha, beta, gamma, delta)):
+    if gf.is_zero():
         raise ValueError("degenerate generating function")
-    a, b, g, dl = alpha, beta, gamma, delta
-    P = Poly([
-        96 * a * dl + 144 * g * dl + 64 * dl * dl,
-        8 * a * a - 288 * a * b + 12 * a * g - 432 * b * g + 24 * a * dl
-        - 192 * b * dl + 28 * g * dl + 16 * dl * dl,
-        -(56 * a * b + a * g + 96 * b * g + 2 * g * g + 48 * b * dl + 2 * g * dl),
-        8 * b * b - b * g,
-    ])
-    Q = Poly([
-        32 * dl * dl,
-        4 * a * a - 144 * a * b + 12 * a * g - 432 * b * g + 12 * a * dl
-        - 240 * b * dl - 4 * g * dl + 8 * dl * dl,
-        -(64 * a * b + 2 * a * g - 288 * b * b + 144 * b * g + 4 * g * dl
-          + 48 * b * dl + 4 * g * g),
-        40 * b * b - 5 * b * g,
-    ]) * Fraction(4, 9)
-    D = Poly([0, 4, 1])
-    t = Poly([0, 1])
-    p2 = D * P
-    p1 = t * P - D * P.derivative()
-    p0 = Q
-    return _expand_u_equation(p2, p1, p0)
-
-
-def _expand_u_equation(p2: Poly, p1: Poly, p0: Poly) -> FuchsOde:
-    t = Poly([0, 1])
-    t2 = t * t
-    a3 = t2 * p2
-    a2 = 4 * t * p2 + t2 * p1
-    a1 = 2 * p2 + 2 * t * p1 + t2 * p0
-    a0 = Poly()
-    return FuchsOde(order=3, coeffs=[a0, a1, a2, a3], singular_points=[]).normalized()
-
-
-def derive_fuchs_ode(gf: D4GenFn) -> FuchsOde:
-    """Independent derivation of the same equation from the period system."""
-    alpha, beta, gamma, delta = gf.abgd()
-    if not any((alpha, beta, gamma, delta)):
-        raise ValueError("degenerate generating function")
-    A = pf_matrix()
-    Ainv = _mat_inv3(A)
-    t = Poly([0, 1])
-    v = [RatFn.const(delta), RatFn.const(gamma), RatFn(Poly([alpha, beta]))]
-    # t^2 M3' = [t (v' + v A^{-1}) - v] . I
-    vp = _row_step(v, Ainv)
-    w = [RatFn(t) * vp[j] - v[j] for j in range(3)]
-    w1 = _row_step(w, Ainv)
-    w2 = _row_step(w1, Ainv)
-    p0, p1, p2 = ratfn_nullvector([w, w1, w2])
-    return _expand_u_equation(p2, p1, p0)
+    G = gauss_manin()
+    t = Poly.x()
+    r = [RatFn.const(gf.c_m1), RatFn(Poly([gf.c1, gf.c0]), t), RatFn(Poly.const(gf.cstar), t)]
+    rows = []
+    for _ in range(3):
+        r = _row_step(r, G)
+        rows.append(r)
+    a1, a2, a3 = ratfn_nullvector(rows)
+    return FuchsOde(order=3, coeffs=[Poly(), a1, a2, a3], singular_points=[]).normalized()
 
 
 def d4_local_exponents(ode: FuchsOde, t0):

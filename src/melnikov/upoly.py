@@ -269,10 +269,6 @@ class RatFn:
     def const(cls, c):
         return cls(Poly.const(c))
 
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls(p)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -329,49 +325,29 @@ def ratfn_nullvector(rows):
     polynomials with no common factor such that sum_i p_i * rows[i] = 0.
     Raises ValueError when the matrix has full rank.
     """
-    # v must be orthogonal to the three columns; take the generalized cross
-    # product of two independent columns.
-    cols = [[rows[i][j] for i in range(3)] for j in range(3)]
+    # clear one common denominator, then v is orthogonal to the three
+    # polynomial columns: the cross product of two independent ones
+    den = Poly.const(1)
+    for c in (c for row in rows for c in row):
+        den = den * (c.den // poly_gcd(den, c.den))
+    cols = [[rows[i][j].num * den // rows[i][j].den for i in range(3)] for j in range(3)]
 
     def cross(u, v):
         return [u[1] * v[2] - u[2] * v[1],
                 u[2] * v[0] - u[0] * v[2],
                 u[0] * v[1] - u[1] * v[0]]
 
-    best = None
-    for a in range(3):
-        for b in range(a + 1, 3):
-            w = cross(cols[a], cols[b])
-            if any(not c.is_zero() for c in w):
-                best = w
-                break
-        if best:
-            break
+    best = next((w for a, b in ((0, 1), (0, 2), (1, 2))
+                 if any(w := cross(cols[a], cols[b]))), None)
     if best is None:
         raise ValueError("matrix rank < 2, null space not one-dimensional")
-    # verify v . third column == 0 (i.e. det == 0)
-    for j in range(3):
-        s = RatFn.const(0)
-        for i in range(3):
-            s = s + best[i] * cols[j][i]
-        if not s.is_zero():
-            raise ValueError("matrix has full rank; no left null vector")
-    # clear denominators: common denominator = lcm of the three den polys
-    den = Poly.const(1)
-    for c in best:
-        g = poly_gcd(den, c.den)
-        den = den * (c.den // g) if not g.is_zero() else den * c.den
-    out = []
-    for c in best:
-        q, r = (c.num * den).divmod(c.den)
-        assert r.is_zero()
-        out.append(q)
-    g = out[0]
-    for p in out[1:]:
-        g = poly_gcd(g, p)
-    if not g.is_zero() and g.degree > 0:
-        out = [p // g for p in out]
-    return normalize_coeff_vector(out)
+    # v . every column == 0 (i.e. det == 0)
+    if any(sum((best[i] * col[i] for i in range(3)), Poly()) for col in cols):
+        raise ValueError("matrix has full rank; no left null vector")
+    g = poly_gcd(poly_gcd(best[0], best[1]), best[2])
+    if g.degree > 0:
+        best = [p // g for p in best]
+    return normalize_coeff_vector(best)
 
 
 def normalize_coeff_vector(polys):

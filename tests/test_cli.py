@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +106,9 @@ def test_d4_paper_example(capsys, tmp_path):
     assert data["exponents_at_0"] == ["-1", "0", "0"]
     lead = data["ode"]["coeffs"][3]
     assert lead != []
+    golden = json.loads((Path(__file__).parent / "golden" / "triangle_golden.json").read_text())
+    assert data["ode"] == golden["ode"]
+    assert data["ode_text"] == golden["ode_text"]
 
 
 def test_pair_subcommand(capsys, tmp_path):
@@ -198,6 +202,16 @@ def test_negative_option_values_in_the_space_separated_form(capsys, tmp_path):
      "--moments", "0,one"),
     ("sample", "--ham", "eight-loop", "--annulus", "bogus", "--t-grid", "0.5"),
     ("melnikov", "--ham", "eight-loop", "--annulus", "exterior", "--form-file", "no/such/file"),
+    # a chain that tests no order
+    ("melnikov", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--k-max", "0"),
+    ("melnikov", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--k-max=-1"),
+    # too few epsilon values, or one outside (0, 1e-2]
+    ("compare", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--t-grid", "0.5", "--eps-grid", "0.1,0.2"),
+    ("compare", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+     "--t-grid", "0.5", "--eps-grid", "1e-3,2e-3,4e-3,0.1"),
 ])
 def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
     code, out = run(capsys, tmp_path, *argv)

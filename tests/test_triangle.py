@@ -2,16 +2,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE, ValidationError
 from melnikov.reduction import (ExtElem, ShapeError, _ext_items_from_q, check_reconstruction,
                                 francoise_chain)
 from melnikov.triangle import (
     TRIANGLE_RING, D4Reducer, D4ChainError, D4GenFn, FuchsOde,
-    d4_chain, d4_reduce_moments, d4_fuchs_ode, derive_fuchs_ode,
-    d4_local_exponents, normalized, reduce_full, _form_to_items,
-    pf_matrix, periods_of_residue,
+    d4_chain, d4_fuchs_ode, d4_local_exponents, gauss_manin, normalized,
+    reduce_full, _form_to_items, periods_of_residue,
 )
 from melnikov.upoly import Poly, RatFn
 
@@ -113,32 +112,79 @@ def test_m2_nonzero_reported():
         d4_chain(w)
 
 
+def _moment_periods(m, log=False):
+    """Periods (i_m1, i0, istar) of the reduced x^m y dx, or of x^m y ln x dx."""
+    items = {(0, int(log), 0): ({(m, 1): Fraction(1)}, {})}
+    per = periods_of_residue(reduce_full(items).residue)
+    return per.i_m1, per.i0, per.istar
+
+
 def test_reduce_moments_examples():
+    """The reducer's moment rewrite, read over the basis with t I_-1 = 8 I_2 - 12 I_0."""
     # I1 -> I0
-    out = d4_reduce_moments({("I", 1): RatFn.const(1)})
-    assert set(out) == {("I", 0)}
-    assert out[("I", 0)] == RatFn.const(1)
-    # I3 -> 21/5 I2 - 18/5 I0 - t/10 I0
-    out = d4_reduce_moments({("I", 3): RatFn.const(1)})
+    assert _moment_periods(1) == ({}, {0: 1}, {})
+    # I2 -> t/8 I_-1 + 3/2 I0
+    assert _moment_periods(2) == ({1: Fraction(1, 8)}, {0: Fraction(3, 2)}, {})
+    # I3 -> 21/40 t I_-1 + (27/10 - t/10) I0
+    assert _moment_periods(3) == ({1: Fraction(21, 40)},
+                                  {0: Fraction(27, 10), 1: Fraction(-1, 10)}, {})
+    # the basis periods stay
+    assert _moment_periods(-1) == ({0: 1}, {}, {})
+    assert _moment_periods(0) == ({}, {0: 1}, {})
+    items = {(0, 1, 0): ({(1, 1): Fraction(1), (0, 1): Fraction(-1)}, {})}
+    assert periods_of_residue(reduce_full(items).residue).istar == {0: 1}
+
+
+# The recorded coefficient data of the third-order equation, the oracle of
+# the derived one: t M3 = (alpha + beta t) I0 + gamma I2 + delta I*, with
+# t I_-1 = 8 I_2 - 12 I_0.
+
+def _abgd(gf):
+    return (gf.c1 - 12 * gf.c_m1, gf.c0, 8 * gf.c_m1, gf.cstar)
+
+
+def _from_abgd(alpha, beta, gamma, delta):
+    c_m1 = Fraction(gamma) / 8
+    return D4GenFn(c_m1=c_m1, c0=Fraction(beta), c1=Fraction(alpha) + 12 * c_m1,
+                   cstar=Fraction(delta))
+
+
+def _recorded_fuchs_ode(gf) -> FuchsOde:
+    """D P u'' + (t P - D P') u' + Q u = 0 with u = t^2 M3' and D = t (t + 4);
+    P and Q are the recorded quadratic forms in (alpha, beta, gamma, delta)."""
+    a, b, g, dl = _abgd(gf)
+    P = Poly([
+        96 * a * dl + 144 * g * dl + 64 * dl * dl,
+        8 * a * a - 288 * a * b + 12 * a * g - 432 * b * g + 24 * a * dl
+        - 192 * b * dl + 28 * g * dl + 16 * dl * dl,
+        -(56 * a * b + a * g + 96 * b * g + 2 * g * g + 48 * b * dl + 2 * g * dl),
+        8 * b * b - b * g,
+    ])
+    Q = Poly([
+        32 * dl * dl,
+        4 * a * a - 144 * a * b + 12 * a * g - 432 * b * g + 12 * a * dl
+        - 240 * b * dl - 4 * g * dl + 8 * dl * dl,
+        -(64 * a * b + 2 * a * g - 288 * b * b + 144 * b * g + 4 * g * dl
+          + 48 * b * dl + 4 * g * g),
+        40 * b * b - 5 * b * g,
+    ]) * Fraction(4, 9)
     t = Poly([0, 1])
-    assert out[("I", 2)] == RatFn.const(Fraction(21, 5))
-    assert out[("I", 0)] == RatFn(Fraction(-18, 5) + t * Fraction(-1, 10))
-    # I0 stays
-    out = d4_reduce_moments({("I", 0): RatFn.const(1)})
-    assert out == {("I", 0): RatFn.const(1)}
-    # idempotent on the basis
-    base = {("I", -1): RatFn.const(2), ("I", 2): RatFn.const(3), ("Istar",): RatFn.const(5)}
-    assert d4_reduce_moments(base) == base
+    D = t * Poly([4, 1])
+    p2, p1, p0 = D * P, t * P - D * P.derivative(), Q
+    a3 = t * t * p2
+    a2 = 4 * t * p2 + t * t * p1
+    a1 = 2 * p2 + 2 * t * p1 + t * t * p0
+    return FuchsOde(order=3, coeffs=[Poly(), a1, a2, a3], singular_points=[]).normalized()
 
 
 def test_genfn_parameter_maps_roundtrip():
     gf = D4GenFn(c_m1=Fraction(-3, 32), c0=Fraction(0), c1=Fraction(0), cstar=Fraction(1))
-    abgd = gf.abgd()
+    abgd = _abgd(gf)
     assert abgd == (Fraction(9, 8), 0, Fraction(-3, 4), 1)
-    gf2 = D4GenFn.from_abgd(*abgd)
+    gf2 = _from_abgd(*abgd)
     assert gf2 == gf
-    gf3 = D4GenFn.from_abgd(Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(4))
-    assert D4GenFn.from_abgd(*gf3.abgd()) == gf3
+    gf3 = _from_abgd(Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(4))
+    assert _from_abgd(*_abgd(gf3)) == gf3
 
 
 def _displayed_particular() -> FuchsOde:
@@ -155,14 +201,13 @@ def test_fuchs_ode_matches_displayed_equation():
     assert ode.proportional_to(_displayed_particular())
 
 
-def test_derived_ode_agrees_with_coefficient_data():
-    gf = D4GenFn(c_m1=Fraction(-3, 32), c0=Fraction(0), c1=Fraction(0), cstar=Fraction(1))
-    ode1 = d4_fuchs_ode(gf)
-    ode2 = derive_fuchs_ode(gf)
-    assert ode1.proportional_to(ode2)
-    # a second parameter point
-    gf = D4GenFn.from_abgd(1, 0, 2, 1)
-    assert d4_fuchs_ode(gf).proportional_to(derive_fuchs_ode(gf))
+@settings(max_examples=60, deadline=None)
+@given(abgd=st.tuples(*[st.integers(-5, 5)] * 4).filter(any))
+@example(abgd=(1, 0, 2, 1))
+def test_derived_ode_agrees_with_coefficient_data(abgd):
+    """The equation derived from the Gauss-Manin matrix is the recorded one."""
+    gf = _from_abgd(*abgd)
+    assert d4_fuchs_ode(gf).to_json() == _recorded_fuchs_ode(gf).to_json()
 
 
 def test_fuchs_ode_degenerate_errors():
@@ -174,7 +219,7 @@ def test_fuchs_ode_annihilates_pure_cycle_part():
     """delta = 0: the equation kills ((alpha + beta t) I0 + gamma I2)/t."""
     from melnikov.numerics import d4_ode_residual
     import numpy as np
-    gf = D4GenFn.from_abgd(1, 0, 2, 0)
+    gf = _from_abgd(1, 0, 2, 0)
     ode = d4_fuchs_ode(gf)
     worst = d4_ode_residual(gf, ode, np.linspace(-3.2, -0.8, 5), h=1e-3)
     assert worst < 1e-5
@@ -184,7 +229,7 @@ def test_fuchs_ode_annihilates_pure_log_part():
     """alpha = beta = gamma = 0, delta = 1: the equation kills I*(t)/t."""
     from melnikov.numerics import d4_ode_residual
     import numpy as np
-    gf = D4GenFn.from_abgd(0, 0, 0, 1)
+    gf = _from_abgd(0, 0, 0, 1)
     ode = d4_fuchs_ode(gf)
     worst = d4_ode_residual(gf, ode, np.linspace(-3.2, -0.8, 5), h=1e-3)
     assert worst < 1e-5
@@ -237,10 +282,15 @@ def test_q1_omega2_minus_q2_df_is_closed():
     assert not red2.residue
 
 
-def test_pf_matrix_shape():
-    A = pf_matrix()
-    assert A[2][1] == RatFn.const(-3)
-    assert A[0][0].num == Poly([0, 1])
+def test_gauss_manin_matrix_exact():
+    """B' = G B for B = (I_-1, I_0, I*), with G derived from the reducer."""
+    t = Poly([0, 1])
+    s = t + Poly.const(4)
+    zero = RatFn.const(0)
+    want = ((RatFn(Poly.const(Fraction(1, 3)), s), RatFn(Poly.const(Fraction(-8, 3)), t * s), zero),
+            (RatFn(Poly.const(Fraction(1, 3)), s), RatFn(Poly.const(Fraction(2, 3)), s), zero),
+            (zero, RatFn(Poly.const(Fraction(-2, 3)), t), RatFn(Poly.const(1), t)))
+    assert gauss_manin() == want
 
 
 # ---------------------------------------------------------------------------
