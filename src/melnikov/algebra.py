@@ -3,15 +3,15 @@
 Polynomials live in Q[x, y, H] where H is a formal symbol standing for the
 Hamiltonian; x and y carry weight one, H weight two.  For the quartic family
 the rewrite of x^4 through H puts any polynomial into a normal form whose
-x-exponents do not exceed three.
+x-exponents do not exceed three.  A Period names an oval integral that the
+numerics evaluate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Mono = tuple  # (i, j, k): exponents of x, y, H
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -20,6 +20,18 @@ class ValidationError(ValueError):
 
 def _frac(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _xy_add(dst, i, j, c):
+    """dst[(i, j)] += c over an x,y-dict {(i, j): Fraction}, dropping zeros."""
+    if c == 0:
+        return
+    key = (i, j)
+    s = dst.get(key, Fraction(0)) + c
+    if s:
+        dst[key] = s
+    else:
+        dst.pop(key, None)
 
 
 class WeightedPoly:
@@ -150,10 +162,6 @@ class WeightedPoly:
         return WeightedPoly({(i, j - 1, k): c * j
                              for (i, j, k), c in self.terms.items() if j})
 
-    def dh(self) -> "WeightedPoly":
-        return WeightedPoly({(i, j, k - 1): c * k
-                             for (i, j, k), c in self.terms.items() if k})
-
     def subst_h(self, h_poly: "WeightedPoly") -> "WeightedPoly":
         """Replace the symbol H by a concrete polynomial in x, y."""
         out = WeightedPoly.zero()
@@ -247,6 +255,21 @@ def sigma(k: int) -> OneForm:
     return OneForm(WeightedPoly.mono(1, i=k, j=1), WeightedPoly.zero())
 
 
+class Period(NamedTuple):
+    """The oval integral of p(x) (ln x)^log y^ypow dx, p given as
+    ((power, coeff), ...) with integer powers of either sign; the key of
+    numerics.integrate_form and of its period cache.  ypow is odd: for an
+    even power the two arcs of the oval cancel."""
+    p: tuple
+    log: int = 0
+    ypow: int = 1
+
+    @classmethod
+    def moment(cls, k: int, ypow: int = 1) -> "Period":
+        """x^k y^ypow dx; ypow = 1 is the period of sigma(k)."""
+        return cls(((k, 1),), 0, ypow)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian data
 # ---------------------------------------------------------------------------
@@ -257,8 +280,8 @@ class HamiltonianSpec:
 
     For the quartic family the defining polynomial is
     H = y^2/2 + s (x^2 - e)^2 / 4 and the induced rewrite reads
-    x^4 = 2 e x^2 - e^2 + (4 H - 2 y^2)/s.  The cubic triangle Hamiltonian
-    carries no x^4 rewrite.
+    x^4 = 2 e x^2 - e^2 + (4 H - 2 y^2)/s (see `normal_form`).  The cubic
+    triangle Hamiltonian carries no x^4 rewrite.
     """
 
     name: str
@@ -269,14 +292,6 @@ class HamiltonianSpec:
     critical_values: tuple
     annuli: tuple                 # mapping name -> (lo, hi) handled below
     sigma_intervals: dict
-
-    def x4_rewrite(self) -> WeightedPoly:
-        if self.kind != "quartic":
-            raise ValueError(f"{self.name} has no x^4 normal-form rewrite")
-        s, e = self.s, self.e
-        return (WeightedPoly.mono(2 * e, i=2) + WeightedPoly.const(-e * e)
-                + WeightedPoly.mono(Fraction(4, s), k=1)
-                + WeightedPoly.mono(Fraction(-2, s), j=2))
 
     def grad(self):
         return self.h_poly.dx(), self.h_poly.dy()
@@ -338,32 +353,55 @@ D4_TRIANGLE = HamiltonianSpec(
 
 SPECS = {s.name: s for s in (EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER, D4_TRIANGLE)}
 
+# The triangle's log period I* = int y (x - 1) ln x dx.
+ISTAR = Period(((1, 1), (0, -1)), log=1)
+
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+_MONO_SPLIT_CACHE = {}
+
+
+def _mono_split(spec, i, j):
+    """Normal form of the monomial x^i y^j as {h_power: {(i', j'): coeff}}."""
+    key = (spec.name, spec.s, spec.e, i, j)
+    hit = _MONO_SPLIT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    s, e = spec.s, spec.e
+    out = {}
+    work = [((i, j, 0), Fraction(1))]
+    while work:
+        (ii, jj, kk), c = work.pop()
+        if ii <= 3:
+            _xy_add(out.setdefault(kk, {}), ii, jj, c)
+            continue
+        # x^4 = 2e x^2 - e^2 + 4H/s - 2y^2/s applied to x^(ii-4)
+        work.append(((ii - 2, jj, kk), c * 2 * e))
+        work.append(((ii - 4, jj, kk), -c * e * e))
+        work.append(((ii - 4, jj + 2, kk), -c * Fraction(2, s)))
+        work.append(((ii - 4, jj, kk + 1), c * Fraction(4, s)))
+    out = {k: v for k, v in out.items() if v}
+    _MONO_SPLIT_CACHE[key] = out
+    return out
+
 
 def normal_form(p: WeightedPoly, spec: HamiltonianSpec) -> WeightedPoly:
     """Rewrite x-powers above three through H; idempotent.
 
     Preserves the polynomial as a function on the plane once H is expanded.
     """
-    rw = spec.x4_rewrite()  # raises for the cubic Hamiltonian
-    out = WeightedPoly.zero()
-    work = dict(p.terms)
-    while work:
-        (i, j, k), c = work.popitem()
-        if i <= 3:
-            out = out + WeightedPoly.mono(c, i, j, k)
-            continue
-        rest = WeightedPoly.mono(c, i - 4, j, k) * rw
-        for m, cc in rest.terms.items():
-            s = work.get(m, Fraction(0)) + cc
-            if s:
-                work[m] = s
-            else:
-                work.pop(m, None)
-    return out
+    if spec.kind != "quartic":
+        raise ValueError(f"{spec.name} has no x^4 normal-form rewrite")
+    out = {}
+    for (i, j, k), c in p.terms.items():
+        for dk, xy in _mono_split(spec, i, j).items():
+            for (ii, jj), cc in xy.items():
+                key = (ii, jj, k + dk)
+                out[key] = out.get(key, 0) + c * cc
+    return WeightedPoly(out)
 
 
 def d(g: WeightedPoly, spec: HamiltonianSpec) -> OneForm:

@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import OneForm, SPECS, ValidationError, WeightedPoly
+from .algebra import OneForm, Period, SPECS, ValidationError, WeightedPoly
 from .monodromy import LoopWord, PairingError, WordError, homology_class, pair_with_form
 from .numerics import (NumericsError, count_zeros, integrate_form,
                        shooting_oracle, trace_oval, zero_bound)
@@ -231,8 +231,7 @@ def _cmd_sample(args, out_base):
     for t in grid:
         ov = trace_oval(spec, t, args.annulus)
         for k in moments:
-            kind = ("moment", k) if k >= 0 else ("inv_x_moment",)
-            rows.append((t, integrate_form(ov, kind, epsrel=args.quad_tol),
+            rows.append((t, integrate_form(ov, Period.moment(k), epsrel=args.quad_tol),
                          "quadrature"))
     _write_csv(job / "sample.csv", rows)
     print((job / "sample.csv").read_text(), end="")

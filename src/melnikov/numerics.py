@@ -3,10 +3,14 @@
 Ovals are parameterized through the angle substitution x = c + r sin(theta),
 which removes the square-root endpoint singularity of the y-branches: each
 family's y^2 factors explicitly, so y = r cos(theta) S(x) with a smooth
-positive S.  Orientation follows the unperturbed flow for the quartic
-family (clockwise in the plane); the triangle ovals are taken
-counterclockwise, matching the convention under which the log period tends
-to -6 at the inner critical value.
+positive S.  Every period integrated here is one weighted moment
+int p(x) (ln x)^b y^s dx (an algebra.Period) under one quadrature kernel;
+general one-forms take the two-arc path.  Orientation follows the
+unperturbed flow for the quartic family (clockwise in the plane); the
+triangle ovals are taken counterclockwise, matching the convention under
+which the log period tends to -6 at the inner critical value.  Shooting
+reads the flow's direction from the oval's orientation, so only
+trace_oval looks at the Hamiltonian's family.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .algebra import D4_TRIANGLE, HamiltonianSpec, OneForm, ValidationError
+from .algebra import D4_TRIANGLE, ISTAR, HamiltonianSpec, OneForm, Period, ValidationError
 
 
 class NumericsError(RuntimeError):
@@ -158,51 +162,30 @@ def trace_oval(spec: HamiltonianSpec, t: float, annulus: str,
 # ---------------------------------------------------------------------------
 
 def _integrand_functions(oval: Oval, integrand):
-    """Return F(theta) for the clockwise loop integral of the integrand."""
+    """Return F(theta) for the clockwise loop integral of the integrand: a
+    Period, a OneForm, or a pair (A, B) of callables for A dx + B dy."""
     r = oval.radius
 
-    if isinstance(integrand, tuple) and isinstance(integrand[0], str):
-        kind = integrand[0]
-        if kind == "moment":
-            k = integrand[1]
+    if isinstance(integrand, Period):
+        # y = rc S(x) and dx = rc dtheta with rc = r cos(theta); an odd power
+        # of y makes the two arcs contribute equally
+        p, log, ypow = integrand
+        if ypow % 2 == 0:
+            raise ValueError(f"even power of y in {integrand!r}: the two arcs cancel")
+        c, S, n = oval.center, oval.smooth_factor, abs(ypow)
 
-            def F(theta):
-                x = oval.x_of(theta)
-                rc = r * np.cos(theta)
-                return 2.0 * x**k * rc * rc * oval.smooth_factor(x)
-            return F
-        if kind == "inv_x_moment":
-            def F(theta):
-                x = oval.x_of(theta)
-                rc = r * np.cos(theta)
-                return 2.0 * rc * rc * oval.smooth_factor(x) / x
-            return F
-        if kind == "star":
-            def F(theta):
-                x = oval.x_of(theta)
-                rc = r * np.cos(theta)
-                return 2.0 * (x - 1.0) * math.log(x) * rc * rc * oval.smooth_factor(x)
-            return F
-        if kind == "deriv_moment":
-            k = integrand[1]
-
-            def F(theta):
-                x = oval.x_of(theta)
-                return 2.0 * x**k / oval.smooth_factor(x)
-            return F
-        if kind == "d4_deriv_moment":
-            k = integrand[1]
-
-            def F(theta):
-                x = oval.x_of(theta)
-                return x**(k - 1) / oval.smooth_factor(x)
-            return F
-        if kind == "d4_deriv_star":
-            def F(theta):
-                x = oval.x_of(theta)
-                return (x - 1.0) * math.log(x) / (x * oval.smooth_factor(x))
-            return F
-        raise ValueError(f"unknown integrand {integrand!r}")
+        def F(theta):
+            x = c + r * math.sin(theta)
+            rc = r * math.cos(theta)
+            v = 0.0
+            for k, a in p:
+                v += a * x ** k
+            if log:
+                v *= math.log(x) ** log
+            v = 2.0 * v * rc ** (ypow + 1)
+            sx = S(x) if n == 1 else S(x) ** n
+            return v * sx if ypow > 0 else v / sx
+        return F
 
     if isinstance(integrand, OneForm):
         a = integrand.a
@@ -227,13 +210,13 @@ def _integrand_functions(oval: Oval, integrand):
 
 
 def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
-    """Adaptive quadrature of a one-form over the oval, oriented as traced."""
+    """Adaptive quadrature of a Period or a one-form over the oval, oriented
+    as traced."""
     import warnings
     from scipy.integrate import IntegrationWarning
-    if isinstance(integrand, tuple) and isinstance(integrand[0], str) \
-            and integrand[0] in ("inv_x_moment", "star", "d4_deriv_star", "d4_deriv_moment"):
-        if oval.x_lo <= 0:
-            raise NumericsError("integrand singular on or inside the oval")
+    if isinstance(integrand, Period) and oval.x_lo <= 0 \
+            and (integrand.log or any(k < 0 for k, _ in integrand.p)):
+        raise NumericsError("integrand singular on or inside the oval")
     F = _integrand_functions(oval, integrand)
     with warnings.catch_warnings():
         # round-off warnings near the requested tolerance are adjudicated
@@ -246,10 +229,11 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     return oval.orientation * val
 
 
-# {(Hamiltonian, annulus, period, epsabs, epsrel): {level: value}}, keyed on
-# everything that changes the value; a period is an integrand key of
-# integrate_form.
+# {(Hamiltonian, annulus, Period, epsabs, epsrel): {level: value}}, keyed on
+# everything that changes the value.  Each map keeps the MAX_CACHED_LEVELS
+# levels inserted last.
 _MOMENT_CACHE = {}
+MAX_CACHED_LEVELS = 4096
 
 
 def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11) -> list:
@@ -260,6 +244,8 @@ def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11) -> list:
         cache = _MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, period,
                                           epsabs, epsrel), {})
         if key not in cache:
+            if len(cache) >= MAX_CACHED_LEVELS:
+                del cache[next(iter(cache))]
             oval = oval or trace_oval(spec, t, annulus)
             cache[key] = integrate_form(oval, period, epsabs, epsrel)
         values.append(cache[key])
@@ -267,7 +253,7 @@ def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11) -> list:
 
 
 def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
-    return period_values(spec, annulus, t, (("moment", k),), epsabs, epsrel)[0]
+    return period_values(spec, annulus, t, (Period.moment(k),), epsabs, epsrel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +343,18 @@ class MelnikovSample:
 
 
 def _period_estimate(oval: Oval) -> float:
-    """Time around the oval: integral of dx / x_dot over both branches."""
-    spec = oval.spec
-    hy = spec.h_poly.dy()
-
-    def F(theta):
-        x = oval.x_of(theta)
-        y = oval.y_top(theta)
-        xd = abs(hy.eval_float(x, y))
-        return 2.0 * oval.radius * math.cos(theta) / max(xd, 1e-300)
-    val, _ = quad(F, -np.pi / 2 + 1e-12, np.pi / 2 - 1e-12, limit=200)
-    return val
+    """Time around the oval: the period of dx / x_dot = dx / H_y, with
+    H_y = m x^i y for every Hamiltonian here."""
+    ((i, _, _), m), = oval.spec.h_poly.dy().terms.items()
+    return abs(integrate_form(oval, Period(((-i, 1 / float(m)),), 0, -1)))
 
 
-def _start_and_direction(spec, annulus, oval):
-    if spec.kind == "quartic":
-        if annulus == "interior_left":
-            return (oval.x_lo, 0.0), +1
-        return (oval.x_hi, 0.0), -1
-    return (oval.x_hi, 0.0), +1     # reversed triangle field crosses upward
+def _start_and_direction(annulus, oval):
+    """Start point on the x-axis and the sign of y' at the return there,
+    for the flow traversing the oval in its orientation."""
+    if annulus == "interior_left":
+        return (oval.x_lo, 0.0), oval.orientation
+    return (oval.x_hi, 0.0), -oval.orientation
 
 
 def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
@@ -396,7 +375,6 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
     hx, hy = h.dx(), h.dy()
     fpol = -w.b
     gpol = w.a
-    sign = 1.0 if spec.kind == "quartic" else -1.0
 
     disp = {}
     shooting_vals = []
@@ -404,7 +382,8 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
     for t in t_grid:
         oval = trace_oval(spec, t, annulus)
         T0 = _period_estimate(oval)
-        (x0, y0), direction = _start_and_direction(spec, annulus, oval)
+        (x0, y0), direction = _start_and_direction(annulus, oval)
+        sign = oval.orientation
         for eps in eps_grid:
             def rhs(_s, u):
                 x, y = u
@@ -440,7 +419,7 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
         m1 = ds[-2] / eps_grid[-2] ** k_est
         m2 = ds[-1] / eps_grid[-1] ** k_est
         ratio = eps_grid[-1] / eps_grid[-2]
-        shooting_vals.append((ratio * m1 - m2) / (ratio - 1))
+        shooting_vals.append(float((ratio * m1 - m2) / (ratio - 1)))
     k_values = [k for k in ks if k is not None]
     if k_values:
         fitted_k = int(round(np.median([k for k, _ in k_values])))
@@ -518,7 +497,7 @@ def fit_istar_asymptotics(t_values=None):
     rhs = []
     for t in t_values:
         ov = trace_oval(D4_TRIANGLE, float(t), "main")
-        val = integrate_form(ov, ("star",))
+        val = integrate_form(ov, ISTAR)
         lt = math.log(abs(t))
         rows.append([1.0, t * lt * lt, t * lt, t])
         rhs.append(val)

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .algebra import SPECS, HamiltonianSpec, OneForm, ValidationError, WeightedPoly
+from .algebra import (SPECS, HamiltonianSpec, OneForm, Period, ValidationError, WeightedPoly,
+                      _mono_split, _xy_add)
 from .upoly import Poly, exact_nullspace
 
 
@@ -34,44 +35,6 @@ class ShapeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # x,y-polynomials as flat dicts {(i, j): Fraction}, plus helpers
 # ---------------------------------------------------------------------------
-
-def _xy_add(dst, i, j, c):
-    if c == 0:
-        return
-    key = (i, j)
-    s = dst.get(key, Fraction(0)) + c
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
-_MONO_SPLIT_CACHE = {}
-
-
-def _mono_split(spec, i, j):
-    """Normal form of the monomial x^i y^j as {h_power: {(i', j'): coeff}}."""
-    key = (spec.name, spec.s, spec.e, i, j)
-    hit = _MONO_SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    s, e = spec.s, spec.e
-    out = {}
-    work = [((i, j, 0), Fraction(1))]
-    while work:
-        (ii, jj, kk), c = work.pop()
-        if ii <= 3:
-            _xy_add(out.setdefault(kk, {}), ii, jj, c)
-            continue
-        # x^4 = 2e x^2 - e^2 + 4H/s - 2y^2/s applied to x^(ii-4)
-        work.append(((ii - 2, jj, kk), c * 2 * e))
-        work.append(((ii - 4, jj, kk), -c * e * e))
-        work.append(((ii - 4, jj + 2, kk), -c * Fraction(2, s)))
-        work.append(((ii - 4, jj, kk + 1), c * Fraction(4, s)))
-    out = {k: v for k, v in out.items() if v}
-    _MONO_SPLIT_CACHE[key] = out
-    return out
-
 
 def _nf_split(spec, poly_xy):
     """Normal-form an x,y-monomial dict; return {h_power: xy_dict}."""
@@ -647,12 +610,14 @@ class LogRing:
     mismatch: str
 
 
+def _xy_dict(p: WeightedPoly) -> dict:
+    """The x,y-dict of a polynomial without the H symbol."""
+    return {(i, j): c for (i, j, _), c in p.terms.items()}
+
+
 def quartic_ring(spec: HamiltonianSpec) -> LogRing:
     """The concrete H, with phi formal and d phi = (2 x y dx - (x^2 - e) dy) / 4H."""
-    def xy(p):
-        return {(i, j): c for (i, j, _), c in p.terms.items()}
-
-    return LogRing(f=xy(spec.h_poly), df=tuple(map(xy, spec.grad())),
+    return LogRing(f=_xy_dict(spec.h_poly), df=tuple(map(_xy_dict, spec.grad())),
                    logs=((-1, {(1, 1): Fraction(1, 2)},
                           {(2, 0): Fraction(-1, 4), (0, 0): Fraction(spec.e, 4)}),),
                    mismatch="reduction does not reconstruct its input at phi-level {0}")
@@ -744,8 +709,8 @@ class GeneratingFn:
 
     Represents M_k(t) = t^{-pole_order} [alpha(t) I0 + beta(t) I1 + gamma(t) I2]
     with exact polynomial coefficients; beta vanishes identically on the
-    symmetric (exterior-type) annuli.  I_i is the period of x^i y dx, the
-    integrand ("moment", i) of numerics.integrate_form.
+    symmetric (exterior-type) annuli.  I_i is the period of x^i y dx,
+    Period.moment(i).
     """
     k: int
     annulus: str
@@ -756,7 +721,7 @@ class GeneratingFn:
     beta: Poly
     gamma: Poly
 
-    basis = (("moment", 0), ("moment", 1), ("moment", 2))
+    basis = tuple(map(Period.moment, range(3)))
 
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero() and self.gamma.is_zero()
@@ -859,9 +824,9 @@ class ChainStep:
 class ChainResult:
     """genfn is the first nonvanishing generating function (None if every
     tested order vanishes) and k its order.  Every generating function has
-    `k`, `to_json()`, `basis` (the integrand keys of numerics.integrate_form
-    for the periods it combines) and `combine(values, t)` (its float value at
-    level t from the values of those periods)."""
+    `k`, `to_json()`, `basis` (the algebra.Period keys of the periods it
+    combines) and `combine(values, t)` (its float value at level t from the
+    values of those periods)."""
     k: int | None
     genfn: object
     steps: list

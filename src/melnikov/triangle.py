@@ -17,25 +17,23 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import D4_TRIANGLE, OneForm, ValidationError, WeightedPoly
+from .algebra import (D4_TRIANGLE, ISTAR, OneForm, Period, ValidationError, WeightedPoly,
+                      _xy_add)
 from .reduction import (ExtElem, LogRing, Reduction, ShapeError, UnitReducer, _DX, _DY,
-                        _add_scaled, _ext_from_terms, _form_items, _nonzero, _xy_add,
+                        _add_scaled, _ext_from_terms, _form_items, _nonzero, _xy_dict,
                         francoise_chain)
 from .upoly import Poly, RatFn, normalize_coeff_vector, poly_gcd, ratfn_nullvector
 
-# df = FX dx + FY dy for f = x y^2 - x^3 + 6 x^2 - 9 x
-_FX = {(0, 2): Fraction(1), (2, 0): Fraction(-3), (1, 0): Fraction(12), (0, 0): Fraction(-9)}
-_FY = {(1, 1): Fraction(2)}
 # f dL = WL_X dx + WL_Y dy
 _WLX = {(1, 1): Fraction(2)}
 _WLY = {(1, 0): Fraction(6), (2, 0): Fraction(-2)}
-# f itself as an x,y-polynomial dict
-_F = {(1, 2): Fraction(1), (3, 0): Fraction(-1), (2, 0): Fraction(6), (1, 0): Fraction(-9)}
 
-# The concrete f, with L and X = ln x formal, f dL = 2xy dx + (6x - 2x^2) dy
-# and dX = dx / x: the ring data of the reconstruction oracle.
+# The concrete f = x y^2 - x^3 + 6 x^2 - 9 x, with L and X = ln x formal,
+# f dL = 2xy dx + (6x - 2x^2) dy and dX = dx / x: the ring data of the
+# reconstruction oracle.
 TRIANGLE_RING = LogRing(
-    f=_F, df=(_FX, _FY), logs=((-1, _WLX, _WLY), (0, {(-1, 0): Fraction(1)}, {})),
+    f=_xy_dict(D4_TRIANGLE.h_poly), df=tuple(map(_xy_dict, D4_TRIANGLE.grad())),
+    logs=((-1, _WLX, _WLY), (0, {(-1, 0): Fraction(1)}, {})),
     mismatch="triangle reduction does not reconstruct its input at level L^{0} lnx^{1}")
 
 
@@ -51,7 +49,7 @@ def _divide_by_f(poly):
         c = rem[(m, j)]
         qm, qj = m - 1, j - 2
         quot[(qm, qj)] = c
-        for (fm, fj), fc in _F.items():
+        for (fm, fj), fc in TRIANGLE_RING.f.items():
             _xy_add(rem, qm + fm, qj + fj, -c * fc)
     return quot
 
@@ -230,9 +228,9 @@ def reduce_full(items) -> Reduction:
 # Period values: I_m, K_m and the log period
 # ---------------------------------------------------------------------------
 
-# The integrand keys (numerics.integrate_form) of int y dx / x, int y dx and
-# int y (x-1) ln x dx, the periods of the triangle's generating functions.
-_BASIS = (("inv_x_moment",), ("moment", 0), ("star",))
+# int y dx / x, int y dx and int y (x-1) ln x dx, the periods of the
+# triangle's generating functions.
+_BASIS = (Period.moment(-1), Period.moment(0), ISTAR)
 
 
 @dataclass
@@ -432,7 +430,13 @@ def gauss_manin():
 
 @dataclass
 class FuchsOde:
-    """Linear ODE sum a_i(t) y^(i) = 0 with exact polynomial coefficients."""
+    """Linear ODE sum a_i(t) y^(i) = 0 with exact polynomial coefficients.
+
+    singular_points lists only the rational roots of the leading coefficient
+    and "inf"; the roots of its irreducible factors of higher degree are
+    singular points too but are not listed (the paper form's
+    351 t^2 + 6336 t + 18432, roots near -3.645 and -14.406).
+    """
     order: int
     coeffs: list       # [a_0, ..., a_n] as Poly
     singular_points: list
@@ -480,12 +484,7 @@ class FuchsOde:
 
 
 def _singular_points(coeffs):
-    lead = coeffs[-1]
-    roots, rem = lead.rational_roots()
-    pts = sorted(set(roots))
-    out = list(pts)
-    out.append("inf")
-    return out
+    return sorted(set(coeffs[-1].rational_roots()[0])) + ["inf"]
 
 
 def d4_fuchs_ode(gf: D4GenFn) -> FuchsOde:
@@ -511,25 +510,17 @@ def d4_fuchs_ode(gf: D4GenFn) -> FuchsOde:
 def d4_local_exponents(ode: FuchsOde, t0):
     """Exponents of the indicial equation at a singular point (or 'inf')."""
     if t0 == "inf":
-        coeffs = _transform_to_infinity(ode)
-        return _indicial_roots(coeffs, Fraction(0), at_infinity=True)
+        return _indicial_roots(_transform_to_infinity(ode), Fraction(0))
     t0 = Fraction(t0)
-    lead = ode.coeffs[-1]
-    if lead.eval_exact(t0) != 0:
+    if ode.coeffs[-1].eval_exact(t0) != 0:
         raise ValueError(f"t = {t0} is an ordinary point")
     return _indicial_roots(ode.coeffs, t0)
 
 
-def _indicial_roots(coeffs, t0, at_infinity=False):
-    n = len(coeffs) - 1
+def _indicial_roots(coeffs, t0):
     shifted = [p.shift(t0) for p in coeffs]
-    orders = []
-    for i, p in enumerate(shifted):
-        if p.is_zero():
-            orders.append(None)
-        else:
-            o = next(k for k, c in enumerate(p.coeffs) if c != 0)
-            orders.append(o)
+    orders = [None if p.is_zero() else next(k for k, c in enumerate(p.coeffs) if c != 0)
+              for p in shifted]
     lead_level = min(o - i for i, o in enumerate(orders) if o is not None)
     ind = Poly()
     for i, p in enumerate(shifted):
@@ -541,9 +532,7 @@ def _indicial_roots(coeffs, t0, at_infinity=False):
             fall = fall * Poly([-r, 1])
         ind = ind + fall * c
     roots, rem = ind.rational_roots()
-    if not rem.is_zero() and rem.degree > 0:
-        return sorted(roots), rem
-    return sorted(roots), None
+    return sorted(roots), (rem if not rem.is_zero() and rem.degree > 0 else None)
 
 
 def _transform_to_infinity(ode: FuchsOde):

@@ -9,7 +9,7 @@ import pytest
 
 from melnikov.algebra import (
     WeightedPoly, OneForm, EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER,
-    D4_TRIANGLE, d,
+    D4_TRIANGLE, Period, d,
 )
 from melnikov.monodromy import W, homology_class, pair_with_form
 from melnikov.numerics import (
@@ -86,8 +86,8 @@ def test_criterion_04_moment_recursion():
     worst = 0.0
     for t in (-3.0, -2.0, -1.0):
         ov = trace_oval(D4_TRIANGLE, t, "main")
-        I = {k: integrate_form(ov, ("moment", k)) for k in range(0, 4)}
-        Im1 = integrate_form(ov, ("inv_x_moment",))
+        I = {k: integrate_form(ov, Period.moment(k)) for k in range(0, 4)}
+        Im1 = integrate_form(ov, Period.moment(-1))
         scale = max(abs(v) for v in I.values())
         worst = max(worst, abs(I[1] - I[0]) / scale)
         for k in (1, 2):
@@ -222,7 +222,7 @@ def test_criterion_08_symmetry_and_phi():
             (GLOBAL_CENTER, "main", np.linspace(0.3, 5.0, 10))):
         for t in ts:
             ov = trace_oval(spec, float(t), annulus)
-            worst_i1 = max(worst_i1, abs(integrate_form(ov, ("moment", 1))))
+            worst_i1 = max(worst_i1, abs(integrate_form(ov, Period.moment(1))))
     worst_phi = 0.0
     for spec, t in ((EIGHT_LOOP, 1.0), (DOUBLE_HETEROCLINIC, -0.1), (GLOBAL_CENTER, 1.0)):
         rep = phi_check(spec, t)

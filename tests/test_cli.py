@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from melnikov import cli
 from melnikov.cli import format_one_form, main, parse_one_form, ValidationError
-from melnikov.algebra import OneForm, WeightedPoly
+from melnikov.algebra import D4_TRIANGLE, OneForm, Period, WeightedPoly
+from melnikov.numerics import integrate_form, trace_oval
 
 X = WeightedPoly.var_x()
 Y = WeightedPoly.var_y()
@@ -132,6 +133,18 @@ def test_sample_csv(capsys, tmp_path):
     assert all(line.endswith("quadrature") for line in lines[1:])
 
 
+def test_sample_negative_moments_are_their_own_periods(capsys, tmp_path):
+    """--moments -2 integrates y dx / x^2, not y dx / x."""
+    code, out = run(capsys, tmp_path, "sample", "--ham", "d4-triangle", "--annulus", "main",
+                    "--t-grid=-2.0", "--moments=-2,-1,0")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    ov = trace_oval(D4_TRIANGLE, -2.0, "main")
+    assert values[0] != values[1]
+    assert values[:2] == [integrate_form(ov, Period.moment(-2)),
+                          integrate_form(ov, Period.moment(-1))]
+
+
 def test_validation_exit_code(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "melnikov", "--ham", "eight-loop",
                     "--annulus", "nowhere", "--form", "y dx")
@@ -177,7 +190,7 @@ def test_compare_on_a_triangle_form_with_nonzero_m1(capsys, tmp_path):
     assert data["symbolic_k"] == data["fitted_k"] == 1
     rows = [line.split(",") for line in out[:out.index("{")].splitlines()[1:]]
     symbolic = float(rows[0][1])
-    shooting = float(rows[1][1].removeprefix("np.float64(").removesuffix(")"))
+    shooting = float(rows[1][1])
     assert abs(symbolic - shooting) < 1e-3 * abs(symbolic)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from melnikov.algebra import (
     WeightedPoly, OneForm, EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER,
-    D4_TRIANGLE, d,
+    D4_TRIANGLE, ISTAR, Period, d, sigma,
 )
 from melnikov.numerics import (
     trace_oval, integrate_form, moment, period_values, eval_genfn, phi_check,
@@ -46,10 +46,37 @@ def test_trace_oval_rejects_bad_levels():
         trace_oval(EIGHT_LOOP, 0.25, "exterior")
 
 
+_ALL_ANNULI = [(EIGHT_LOOP, "interior_left", 0.125), (EIGHT_LOOP, "interior_right", 0.125),
+               (EIGHT_LOOP, "exterior", 1.0), (DOUBLE_HETEROCLINIC, "main", -0.1),
+               (GLOBAL_CENTER, "main", 1.0), (D4_TRIANGLE, "main", -2.0)]
+
+
+@pytest.mark.parametrize("spec,annulus,t", _ALL_ANNULI)
+def test_period_kernel_matches_the_one_form_path(spec, annulus, t):
+    """Period.moment(k) agrees with the two-arc quadrature of sigma(k) = x^k y dx
+    (relative to the largest of the four moments: the odd ones vanish on the
+    symmetric annuli)."""
+    ov = trace_oval(spec, t, annulus)
+    kernel = [integrate_form(ov, Period.moment(k)) for k in range(4)]
+    forms = [integrate_form(ov, sigma(k)) for k in range(4)]
+    scale = max(map(abs, forms))
+    for a, b in zip(kernel, forms):
+        assert abs(a - b) < 1e-12 * scale
+
+
+def test_period_key_rejects_even_y_powers_and_singular_ovals():
+    ov = trace_oval(EIGHT_LOOP, 1.0, "exterior")
+    with pytest.raises(ValueError):
+        integrate_form(ov, Period.moment(0, ypow=2))
+    for period in (Period.moment(-1), ISTAR):
+        with pytest.raises(NumericsError):
+            integrate_form(ov, period)
+
+
 def test_quadrature_stability_under_tolerance_halving():
     ov = trace_oval(EIGHT_LOOP, 1.0, "exterior")
-    a = integrate_form(ov, ("moment", 0), epsrel=1e-11)
-    b = integrate_form(ov, ("moment", 0), epsrel=5e-12)
+    a = integrate_form(ov, Period.moment(0), epsrel=1e-11)
+    b = integrate_form(ov, Period.moment(0), epsrel=5e-12)
     assert abs(a - b) < 1e-10 * abs(a)
 
 
@@ -61,14 +88,14 @@ def test_quadrature_stability_under_tolerance_halving():
 def test_odd_moment_vanishes_on_symmetric_annuli(spec, annulus, ts):
     for t in ts:
         ov = trace_oval(spec, float(t), annulus)
-        assert abs(integrate_form(ov, ("moment", 1))) < 1e-10
+        assert abs(integrate_form(ov, Period.moment(1))) < 1e-10
 
 
 def test_triangle_moment_recursion_and_equality():
     for t in (-3.0, -2.0, -1.0):
         ov = trace_oval(D4_TRIANGLE, t, "main")
-        I = {k: integrate_form(ov, ("moment", k)) for k in range(0, 4)}
-        Im1 = integrate_form(ov, ("inv_x_moment",))
+        I = {k: integrate_form(ov, Period.moment(k)) for k in range(0, 4)}
+        Im1 = integrate_form(ov, Period.moment(-1))
         scale = max(abs(v) for v in I.values())
         assert abs(I[1] - I[0]) < 1e-8 * scale
         for k in (1, 2):
@@ -82,15 +109,16 @@ def test_derivative_consistency_and_period_system():
     G = gauss_manin()
     for t in (-3.0, -2.5, -2.0, -1.5, -1.0):
         ov = trace_oval(D4_TRIANGLE, t, "main")
-        Iv = [integrate_form(ov, ("inv_x_moment",)),
-              integrate_form(ov, ("moment", 0)),
-              integrate_form(ov, ("star",))]
-        dIv = [integrate_form(ov, ("d4_deriv_moment", -1)),
-               integrate_form(ov, ("d4_deriv_moment", 0)),
-               integrate_form(ov, ("d4_deriv_star",))]
+        Iv = [integrate_form(ov, Period.moment(-1)),
+              integrate_form(ov, Period.moment(0)),
+              integrate_form(ov, ISTAR)]
+        # on f = t, d/dt y = 1/(2 x y): the derivatives of the basis periods
+        dIv = [integrate_form(ov, Period(((-2, 0.5),), 0, -1)),
+               integrate_form(ov, Period(((-1, 0.5),), 0, -1)),
+               integrate_form(ov, Period(((0, 0.5), (-1, -0.5)), 1, -1))]
         h = 1e-5
-        fd = (integrate_form(trace_oval(D4_TRIANGLE, t + h, "main"), ("moment", 0))
-              - integrate_form(trace_oval(D4_TRIANGLE, t - h, "main"), ("moment", 0))) / (2 * h)
+        fd = (integrate_form(trace_oval(D4_TRIANGLE, t + h, "main"), Period.moment(0))
+              - integrate_form(trace_oval(D4_TRIANGLE, t - h, "main"), Period.moment(0))) / (2 * h)
         assert abs(fd - dIv[1]) < 1e-6 * abs(fd)
         for i in range(3):
             pred = sum(G[i][j](t) * Iv[j] for j in range(3))
@@ -101,10 +129,10 @@ def test_a3_derivative_identity():
     # d/dt of the area moment equals the period-type integral of dx/y
     t = 1.0
     ov = trace_oval(EIGHT_LOOP, t, "exterior")
-    gl = integrate_form(ov, ("deriv_moment", 0))
+    gl = integrate_form(ov, Period.moment(0, ypow=-1))
     h = 1e-6
-    fd = (integrate_form(trace_oval(EIGHT_LOOP, t + h, "exterior"), ("moment", 0))
-          - integrate_form(trace_oval(EIGHT_LOOP, t - h, "exterior"), ("moment", 0))) / (2 * h)
+    fd = (integrate_form(trace_oval(EIGHT_LOOP, t + h, "exterior"), Period.moment(0))
+          - integrate_form(trace_oval(EIGHT_LOOP, t - h, "exterior"), Period.moment(0))) / (2 * h)
     assert abs(gl - fd) < 1e-6 * abs(fd)
 
 
@@ -175,7 +203,7 @@ def test_period_estimate_reasonable():
     assert 1.0 < T < 20.0
 
 
-_D4_BASIS = (("inv_x_moment",), ("moment", 0), ("star",))
+_D4_BASIS = (Period.moment(-1), Period.moment(0), ISTAR)
 
 
 def test_moment_caches_keyed_on_tolerances():
@@ -190,6 +218,18 @@ def test_moment_caches_keyed_on_tolerances():
     numerics._MOMENT_CACHE.clear()
     assert after == (moment(EIGHT_LOOP, "exterior", 0.3, 0),
                      period_values(D4_TRIANGLE, "main", -3.0, _D4_BASIS))
+
+
+def test_period_cache_keeps_the_levels_inserted_last(monkeypatch):
+    from melnikov import numerics
+    monkeypatch.setattr(numerics, "MAX_CACHED_LEVELS", 8)
+    numerics._MOMENT_CACHE.clear()
+    levels = [0.3 + 0.1 * i for i in range(12)]
+    for t in levels:
+        moment(EIGHT_LOOP, "exterior", t, 0)
+    (cache,) = numerics._MOMENT_CACHE.values()
+    numerics._MOMENT_CACHE.clear()
+    assert list(cache) == levels[-8:]
 
 
 def test_period_values_use_the_requested_tolerance():

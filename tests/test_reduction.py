@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from melnikov import reduction as _red
+from melnikov import algebra as _alg, reduction as _red
 from melnikov.algebra import (
     WeightedPoly, OneForm, EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER,
-    d, sigma, normal_form,
+    Period, d, sigma, normal_form,
 )
 from melnikov.reduction import (
     Reducer, Reduction, ShapeError, decompose, decompose_ext, francoise_chain,
@@ -110,8 +110,8 @@ def test_decompose_ext_residual_integrates_correctly(coeff):
     for t in (0.4, 0.7, 1.0, 1.6, 2.5):
         ov = trace_oval(EIGHT_LOOP, t, "exterior")
         lhs = integrate_form(ov, w)
-        i0 = integrate_form(ov, ("moment", 0))
-        i2 = integrate_form(ov, ("moment", 2))
+        i0 = integrate_form(ov, Period.moment(0))
+        i2 = integrate_form(ov, Period.moment(2))
         rhs = dec.alpha(t) * i0 + dec.gamma(t) * i2
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
@@ -362,7 +362,7 @@ def test_reducer_cold_and_warm_runs_agree(spec, config, items):
 
 
 def _clear_reduction_caches():
-    _red._MONO_SPLIT_CACHE.clear()
+    _alg._MONO_SPLIT_CACHE.clear()
     _red._clear_unit_cache()
 
 
