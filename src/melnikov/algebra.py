@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Protocol, runtime_checkable
 
 
 class ValidationError(ValueError):
@@ -20,18 +20,6 @@ class ValidationError(ValueError):
 
 def _frac(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
-
-
-def _xy_add(dst, i, j, c):
-    """dst[(i, j)] += c over an x,y-dict {(i, j): Fraction}, dropping zeros."""
-    if c == 0:
-        return
-    key = (i, j)
-    s = dst.get(key, Fraction(0)) + c
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
 
 
 class WeightedPoly:
@@ -270,6 +258,21 @@ class Period(NamedTuple):
         return cls(((k, 1),), 0, ypow)
 
 
+@runtime_checkable
+class GenFn(Protocol):
+    """A generating function M_k as the numerics and the CLI read it, with
+    k its order: `basis` holds the Period keys of the periods it combines
+    and `combine(values, t)` is its float value at level t from the values
+    of those periods.  reduction.GeneratingFn, triangle.D4GenFn and
+    triangle.D4Periods are generating functions."""
+    k: int | None
+    basis: tuple
+
+    def to_json(self) -> dict: ...
+
+    def combine(self, values, t: float) -> float: ...
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian data
 # ---------------------------------------------------------------------------
@@ -361,30 +364,35 @@ ISTAR = Period(((1, 1), (0, -1)), log=1)
 # Operations
 # ---------------------------------------------------------------------------
 
-_MONO_SPLIT_CACHE = {}
+def _mono_split(spec, i, j, memo):
+    """Normal form of the monomial x^i y^j as {h_power: {(i', j'): int}}.
 
-
-def _mono_split(spec, i, j):
-    """Normal form of the monomial x^i y^j as {h_power: {(i', j'): coeff}}."""
-    key = (spec.name, spec.s, spec.e, i, j)
-    hit = _MONO_SPLIT_CACHE.get(key)
+    The rewrite x^4 = 2e x^2 - e^2 + (4H - 2y^2)/s has integer coefficients
+    because s = +-1, so every table is integral.  memo maps (i, j) to the
+    tables of one spec; the caller owns it (the reducer keeps it in its
+    cache key's store).
+    """
+    hit = memo.get((i, j))
     if hit is not None:
         return hit
     s, e = spec.s, spec.e
-    out = {}
-    work = [((i, j, 0), Fraction(1))]
-    while work:
-        (ii, jj, kk), c = work.pop()
-        if ii <= 3:
-            _xy_add(out.setdefault(kk, {}), ii, jj, c)
-            continue
-        # x^4 = 2e x^2 - e^2 + 4H/s - 2y^2/s applied to x^(ii-4)
-        work.append(((ii - 2, jj, kk), c * 2 * e))
-        work.append(((ii - 4, jj, kk), -c * e * e))
-        work.append(((ii - 4, jj + 2, kk), -c * Fraction(2, s)))
-        work.append(((ii - 4, jj, kk + 1), c * Fraction(4, s)))
-    out = {k: v for k, v in out.items() if v}
-    _MONO_SPLIT_CACHE[key] = out
+    if s not in (1, -1):
+        raise ValueError(f"the x^4 rewrite needs s = +-1, got {s}")
+    if i <= 3:
+        out = {0: {(i, j): 1}}
+    else:
+        # x^i y^j = x^(i-4) y^j (2e x^2 - e^2 - 2s y^2 + 4s H)
+        out = {}
+        for (ii, jj, dk), c in (((i - 2, j, 0), 2 * e), ((i - 4, j, 0), -e * e),
+                                ((i - 4, j + 2, 0), -2 * s), ((i - 4, j, 1), 4 * s)):
+            if not c:
+                continue
+            for k, xy in _mono_split(spec, ii, jj, memo).items():
+                tgt = out.setdefault(k + dk, {})
+                for key, cc in xy.items():
+                    tgt[key] = tgt.get(key, 0) + c * cc
+        out = {k: nz for k, xy in out.items() if (nz := {key: c for key, c in xy.items() if c})}
+    memo[(i, j)] = out
     return out
 
 
@@ -395,9 +403,9 @@ def normal_form(p: WeightedPoly, spec: HamiltonianSpec) -> WeightedPoly:
     """
     if spec.kind != "quartic":
         raise ValueError(f"{spec.name} has no x^4 normal-form rewrite")
-    out = {}
+    out, memo = {}, {}
     for (i, j, k), c in p.terms.items():
-        for dk, xy in _mono_split(spec, i, j).items():
+        for dk, xy in _mono_split(spec, i, j, memo).items():
             for (ii, jj), cc in xy.items():
                 key = (ii, jj, k + dk)
                 out[key] = out.get(key, 0) + c * cc

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .algebra import D4_TRIANGLE, ISTAR, HamiltonianSpec, OneForm, Period, ValidationError
+from .algebra import (D4_TRIANGLE, ISTAR, GenFn, HamiltonianSpec, OneForm, Period,
+                      ValidationError)
 
 
 class NumericsError(RuntimeError):
@@ -260,7 +261,7 @@ def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
 # Symbolic generating functions evaluated through quadrature
 # ---------------------------------------------------------------------------
 
-def eval_genfn(gf, spec, annulus, t, epsabs=1e-13, epsrel=1e-11) -> float:
+def eval_genfn(gf: GenFn, spec, annulus, t, epsabs=1e-13, epsrel=1e-11) -> float:
     """Float value at level t of a generating function of either family."""
     return gf.combine(period_values(spec, annulus, t, gf.basis, epsabs, epsrel), t)
 
@@ -358,7 +359,7 @@ def _start_and_direction(annulus, oval):
 
 
 def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
-                    t_grid, eps_grid=None, symbolic=None) -> MelnikovSample:
+                    t_grid, eps_grid=None, symbolic: GenFn | None = None) -> MelnikovSample:
     """Estimate the order and size of the displacement map by integration.
 
     Integrates the perturbed flow from the horizontal section, locates the
@@ -464,7 +465,7 @@ class ZeroCount:
     bound: int | None
 
 
-def count_zeros(gf, spec, annulus, interval, samples=400, bound=None) -> ZeroCount:
+def count_zeros(gf: GenFn, spec, annulus, interval, samples=400, bound=None) -> ZeroCount:
     """Certified lower bound on the number of zeros by sign-change scanning."""
     lo, hi = interval
     ts = np.linspace(lo, hi, samples)

@@ -18,13 +18,15 @@ moves, its dlog table, its ring data and its chain hooks.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import add
 
-from .algebra import (SPECS, HamiltonianSpec, OneForm, Period, ValidationError, WeightedPoly,
-                      _mono_split, _xy_add)
+from .algebra import (SPECS, GenFn, HamiltonianSpec, OneForm, Period, ValidationError,
+                      WeightedPoly, _mono_split)
 from .upoly import Poly, exact_nullspace
 
 
@@ -33,23 +35,36 @@ class ShapeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# x,y-polynomials as flat dicts {(i, j): Fraction}, plus helpers
+# x,y-polynomials as flat dicts {(i, j): coefficient}, plus helpers
 # ---------------------------------------------------------------------------
 
-def _nf_split(spec, poly_xy):
-    """Normal-form an x,y-monomial dict; return {h_power: xy_dict}."""
+def _common_den(values) -> int:
+    """Least common denominator of exact rationals (ints or Fractions)."""
+    return lcm(*(c.denominator for c in values))
+
+
+def _numerators(d, den):
+    """{key: rational} -> {key: integer numerator over den}; den must be a
+    common denominator of the values."""
+    return {key: c.numerator * (den // c.denominator) for key, c in d.items()}
+
+
+def _nf_split(spec, poly_xy, memo):
+    """Normal-form an x,y-dict through the integer x^4 tables in memo;
+    return {h_power: xy_dict}.  Integer input gives integer output."""
     out = {}
     for (i, j), c in poly_xy.items():
-        if c == 0:
+        if not c:
             continue
         if i <= 3:
-            _xy_add(out.setdefault(0, {}), i, j, c)
+            tgt = out.setdefault(0, {})
+            tgt[(i, j)] = tgt.get((i, j), 0) + c
             continue
-        for dk, d in _mono_split(spec, i, j).items():
+        for dk, d in _mono_split(spec, i, j, memo).items():
             tgt = out.setdefault(dk, {})
             for key, cc in d.items():
-                _xy_add(tgt, key[0], key[1], cc * c)
-    return {k: v for k, v in out.items() if v}
+                tgt[key] = tgt.get(key, 0) + cc * c
+    return {k: nz for k, v in out.items() if (nz := _nonzero(v))}
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +203,88 @@ def _ext_from_terms(terms) -> ExtElem:
     return out
 
 
-# {family cache key: {unit key: (exact, q, residue)}} where exact, q and
-# residue are the nonzero coefficient dicts of the full reduction of that
-# single unit monomial.  The cache is cleared when a run starts with more
-# than MAX_UNIT_CACHE_TERMS terms stored (a benchmark chain settles near 21k).
+class _Store:
+    """The unit cache of one family cache key.
+
+    entries maps a unit key to the full reduction (exact, q, residue) of
+    that single unit monomial, each part a dict of integer numerators over
+    the shared denominator den; split holds the family's normal-form tables
+    (`algebra._mono_split`), and terms counts the coefficients of both.
+    """
+
+    __slots__ = ("den", "entries", "split", "terms")
+
+    def __init__(self):
+        self.den, self.entries, self.split, self.terms = 1, {}, {}, 0
+
+    def size(self) -> int:
+        return self.terms + sum(len(xy) for table in self.split.values() for xy in table.values())
+
+    def settle(self, key, own, kids):
+        """Store the entry own + sum c * entries[kid] of `key`.
+
+        The terms of own and the coefficients c are exact rationals.  The
+        entry is computed over den times their common denominator b, and
+        den grows by the part of b that the entry's numerators do not
+        cancel: every stored numerator is rescaled once by that factor.
+        """
+        b = _common_den(chain(kids.values(), *(part.values() for part in own)))
+        parts = tuple({k: c.numerator * (b // c.denominator) * self.den for k, c in part.items()}
+                      for part in own)
+        for kid, c in kids.items():
+            a = c.numerator * (b // c.denominator)
+            for part, src in zip(parts, self.entries[kid]):
+                get = part.get
+                for k, v in src.items():
+                    part[k] = get(k, 0) + a * v
+        parts = tuple(map(_nonzero, parts))
+        if b > 1:
+            g = gcd(b, *(v for part in parts for v in part.values()))
+            if g < b:
+                r = b // g
+                for entry in self.entries.values():
+                    for part in entry:
+                        for k in part:
+                            part[k] *= r
+                self.den *= r
+            if g > 1:
+                parts = tuple({k: v // g for k, v in part.items()} for part in parts)
+        self.entries[key] = parts
+        self.terms += sum(map(len, parts))
+
+
+# {family cache key: _Store}, least recently run first.  When a run starts
+# with more than MAX_UNIT_CACHE_TERMS terms stored, the stores of other keys
+# are dropped, least recently run first, until the bound holds; the running
+# key's own store is emptied only when it alone is over the bound (a
+# benchmark chain settles near 21k terms).
 _UNIT_CACHE = {}
-_unit_cache_terms = 0
 MAX_UNIT_CACHE_TERMS = 200_000
+# A fill may rescale every numerator of its store in place, so everything
+# that reads or writes a store (eviction, normal form, fills, sums) holds
+# this lock: runs in other threads see a store before or after a rescale.
+_CACHE_LOCK = threading.Lock()
 
 
 def _clear_unit_cache():
-    global _unit_cache_terms
     _UNIT_CACHE.clear()
-    _unit_cache_terms = 0
 
 
-def _add_scaled(dst, src, c):
-    """dst += c * src over coefficient dicts; zero sums are left for the caller."""
-    for key, v in src.items():
-        dst[key] = dst.get(key, 0) + c * v
+def _open_store(cache_key) -> _Store:
+    """The store of cache_key, marked most recently run, after eviction;
+    the caller holds _CACHE_LOCK."""
+    store = _UNIT_CACHE.pop(cache_key, None) or _Store()
+    sizes = {key: other.size() for key, other in _UNIT_CACHE.items()}
+    total = store.size() + sum(sizes.values())
+    for key, size in sizes.items():
+        if total <= MAX_UNIT_CACHE_TERMS:
+            break
+        del _UNIT_CACHE[key]
+        total -= size
+    if total > MAX_UNIT_CACHE_TERMS:
+        store = _Store()
+    _UNIT_CACHE[cache_key] = store
+    return store
 
 
 def _nonzero(d):
@@ -225,12 +303,15 @@ class UnitReducer:
     The reduction is linear, so each unit monomial is reduced once per
     process: its entry (exact, q, residue) is its own move plus the cached
     entries of the unit monomials that move produces, scaled.  A run is the
-    sparse sum of the entries of its input's monomials.  A family supplies
-    `cache_key` (everything its answers depend on), `DLOG` and the moves: a
-    unit key ends with an index into `MOVES`, and the named method, called
-    with the rest of the key, writes its own terms into the sinks Q (exact),
-    q and res and the monomials it produces into kids.  DLOG holds, for each
-    log generator g, the F-shift s and the (x,y-dict, unit kind) children of
+    sparse sum of the entries of its input's monomials, over integer
+    numerators: the input is scaled to one denominator and the cache holds
+    one denominator per cache key, so Fractions appear only in the moves
+    and in the Reduction a run returns.  A family supplies `cache_key`
+    (everything its answers depend on), `DLOG` and the moves: a unit key
+    ends with an index into `MOVES`, and the named method, called with the
+    rest of the key, writes its own terms into the sinks Q (exact), q and
+    res and the monomials it produces into kids.  DLOG holds, for each log
+    generator g, the F-shift s and the (x,y-dict, unit kind) children of
     dg = F^s sum(xy * kind).  A family whose rewriting needs it overrides
     `_split`, which puts x,y-dicts into normal form.
     """
@@ -239,36 +320,45 @@ class UnitReducer:
 
     def run(self, items) -> Reduction:
         """items {(*levels, n): (A, B)}, meaning g^levels F^n (A dx + B dy)."""
-        exact, q, res = self.reduce_units(self._units(items))
+        exact, q, res = self.reduce_units(*self._units(items))
         return Reduction(exact=_ext_from_terms(exact), dh_coeff=_ext_from_terms(q),
                          residue=res)
 
     def _units(self, items):
+        """Start a run: open the cache key's store and return the items as
+        normal-formed units {unit key: integer numerator} and their common
+        denominator."""
+        den = _common_den(c for parts in items.values() for xy in parts for c in xy.values())
         units = {}
-        for key, parts in items.items():
-            for kind, xy in enumerate(parts):
-                self._put(units, key[:-1], key[-1], xy, kind)
-        return units
+        with _CACHE_LOCK:
+            self.store = _open_store(self.cache_key)
+            for key, parts in items.items():
+                for kind, xy in enumerate(parts):
+                    self._put(units, key[:-1], key[-1], _numerators(xy, den), kind)
+        return units, den
 
-    def reduce_units(self, units):
-        """{unit key: coeff} -> (exact, q, residue) as nonzero coefficient dicts."""
-        if _unit_cache_terms > MAX_UNIT_CACHE_TERMS:
-            _clear_unit_cache()
-        memo = _UNIT_CACHE.setdefault(self.cache_key, {})
+    def reduce_units(self, units, den):
+        """Units {unit key: integer numerator} over den, of a run `_units`
+        opened -> (exact, q, residue) as nonzero Fraction dicts."""
+        store = self.store
+        entries = store.entries
         parts = ({}, {}, {})
-        for key, c in units.items():
-            if not c:
-                continue
-            entry = memo.get(key)
-            if entry is None:
-                entry = self._fill(memo, key)
-            for part, src in zip(parts, entry):
-                _add_scaled(part, src, c)
-        return tuple(map(_nonzero, parts))
+        with _CACHE_LOCK:
+            for key, a in units.items():
+                if a and key not in entries:
+                    self._fill(store, key)
+            for key, a in units.items():
+                if a:
+                    for part, src in zip(parts, entries[key]):
+                        get = part.get
+                        for k, v in src.items():
+                            part[k] = get(k, 0) + a * v
+            den *= store.den
+        return tuple({k: Fraction(v, den) for k, v in part.items() if v} for part in parts)
 
-    def _fill(self, memo, root):
+    def _fill(self, store, root):
         """Cache the entry of `root` and of every uncached descendant, post-order."""
-        global _unit_cache_terms
+        memo = store.entries
         stack = [root]
         path = {}  # expanded, unfinished unit -> (own parts, children)
         expansions = 0
@@ -291,13 +381,7 @@ class UnitReducer:
                     continue
             stack.pop()
             del path[key]
-            own, kids = node
-            for kid, c in kids.items():
-                for part, kid_part in zip(own, memo[kid]):
-                    _add_scaled(part, kid_part, c)
-            entry = memo[key] = tuple(_nonzero(part) for part in own)
-            _unit_cache_terms += sum(map(len, entry))
-        return memo[root]
+            store.settle(key, *node)
 
     def _expand(self, key):
         """One move on a unit monomial: ((exact, q, residue), {child unit: coeff})."""
@@ -369,7 +453,7 @@ class Reducer(UnitReducer):
         self.cache_key = (spec.name, spec.s, spec.e, fold_sigma1)
 
     def _split(self, xy):
-        return _nf_split(self.spec, xy)
+        return _nf_split(self.spec, xy, self.store.split)
 
     # -- the family's hooks in francoise_chain -----------------------------
 
@@ -407,7 +491,7 @@ class Reducer(UnitReducer):
         items of normal-form weighted degree m (H of weight two).  Returns m."""
         if exact.phi_degree() or exact.max_pole() or q.phi_degree() or q.max_pole():
             raise ShapeError("polynomial input produced extended-ring output")
-        m = max((i + j + 2 * n for (_, n, i, j, _), c in self._units(items).items() if c),
+        m = max((i + j + 2 * n for (_, n, i, j, _), c in self._units(items)[0].items() if c),
                 default=-1)
         G, g = (e.entries.get((0, 0), WeightedPoly.zero()) for e in (exact, q))
         if (not G.is_zero() and G.weighted_degree() > m + 1) \
@@ -639,13 +723,33 @@ def check_reconstruction(ring: LogRing, items, red: Reduction):
     items are the reducer's input {(*levels, n): (A, B)}, meaning the
     one-forms g^levels F^n (A dx + B dy) with g the log generators; red is
     its Reduction.  The logs are formal, so the identity must hold at every
-    level.  There the difference d(exact) + q dF + residue - items is
-    collected as a pair of x,y-dicts D_n (dx and dy parts) per F-power n;
-    then sum_n D_n F^(n - n_min), with n_min the lowest power on either
-    side, is expanded by Horner in the concrete F.  Q[x, 1/x, y] is an
-    integral domain, so the identity holds iff every coefficient of that
-    expansion is zero.  No reducer's rewriting rules or caches are used.
+    level.  There the difference d(exact) + q dF + residue - items, times
+    one common denominator L of both sides and of the ring's dF and dg, is
+    collected as a pair of integer x,y-dicts D_n (dx and dy parts) per
+    F-power n.  With F = F_int / f_den, F_int integral, f_den^(n_max - n_min)
+    sum_n D_n F^(n - n_min) (n_min the lowest power on either side) is
+    expanded by Horner in F_int.  Z[x, 1/x, y] is an integral domain, so the
+    identity holds iff every coefficient of that expansion is zero.  The
+    check is exact; no reducer's rewriting rules or caches are used.
     """
+    ring_den = _common_den(c for form in chain(ring.df, *(log[1:] for log in ring.logs))
+                           for c in form.values())
+    red_den = _common_den(chain((c for elem in (red.exact, red.dh_coeff)
+                                 for poly in elem.entries.values() for c in poly.terms.values()),
+                                red.residue.values()))
+    den = lcm(red_den * ring_den,
+              _common_den(c for parts in items.values() for xy in parts for c in xy.values()))
+    scale = den // ring_den
+
+    def num(c):
+        """A coefficient c of exact, q or the residue is num(c) / scale."""
+        return c.numerator * (scale // c.denominator)
+
+    df = tuple(_numerators(part, ring_den) for part in ring.df)
+    logs = [(shift, tuple(_numerators(part, ring_den) for part in form))
+            for shift, *form in ring.logs]
+    f_den = _common_den(ring.f.values())
+    f = _numerators(ring.f, f_den)
     diff = {}  # levels -> {F-power n: (dx part, dy part)}
 
     def slot(lv, n):
@@ -663,38 +767,41 @@ def check_reconstruction(ring: LogRing, items, red: Reduction):
         #                 + sum_r lv_r g^(lv - e_r) u dg_r
         lv, n0 = key[:-1], -key[-1]
         lowered = [(lv[:r] + (lv[r] - 1,) + lv[r + 1:], lv[r], shift, form)
-                   for r, (shift, *form) in enumerate(ring.logs) if lv[r]]
+                   for r, (shift, form) in enumerate(logs) if lv[r]]
         for (i, j, k), c in poly.terms.items():
             n = n0 + k
+            c = num(c)
             a, b = slot(lv, n)
             if i:
-                a[(i - 1, j)] = a.get((i - 1, j), 0) + c * i
+                a[(i - 1, j)] = a.get((i - 1, j), 0) + c * i * ring_den
             if j:
-                b[(i, j - 1)] = b.get((i, j - 1), 0) + c * j
+                b[(i, j - 1)] = b.get((i, j - 1), 0) + c * j * ring_den
             if n:
-                add_times(lv, n - 1, ring.df, i, j, c * n)
+                add_times(lv, n - 1, df, i, j, c * n)
             for low, power, shift, form in lowered:
                 add_times(low, n + shift, form, i, j, c * power)
     for key, poly in red.dh_coeff.entries.items():
         for (i, j, k), c in poly.terms.items():
-            add_times(key[:-1], k - key[-1], ring.df, i, j, c)
+            add_times(key[:-1], k - key[-1], df, i, j, num(c))
     for key, c in red.residue.items():
         # c g^lv F^n x^i y dx
         a = slot(key[:-2], key[-2])[0]
-        a[(key[-1], 1)] = a.get((key[-1], 1), 0) + c
+        a[(key[-1], 1)] = a.get((key[-1], 1), 0) + num(c) * ring_den
     for key, parts in items.items():
         for src, dst in zip(parts, slot(key[:-1], key[-1])):
             for xy, c in src.items():
-                dst[xy] = dst.get(xy, 0) - c
+                dst[xy] = dst.get(xy, 0) - c.numerator * (den // c.denominator)
 
     for lv, buckets in diff.items():
         acc = ({}, {})
+        f_power = 1     # f_den^(n_max - n)
         for n in range(max(buckets), min(buckets) - 1, -1):
-            acc = tuple(_xy_mul(part, ring.f) for part in acc)
+            acc = tuple(_xy_mul(part, f) for part in acc)
             for part, d in zip(acc, buckets.get(n, ({}, {}))):
                 for key, c in d.items():
                     if c:
-                        part[key] = part.get(key, 0) + c
+                        part[key] = part.get(key, 0) + c * f_power
+            f_power *= f_den
         if any(c for part in acc for c in part.values()):
             raise ShapeError(ring.mismatch.format(*lv))
 
@@ -823,12 +930,9 @@ class ChainStep:
 @dataclass
 class ChainResult:
     """genfn is the first nonvanishing generating function (None if every
-    tested order vanishes) and k its order.  Every generating function has
-    `k`, `to_json()`, `basis` (the algebra.Period keys of the periods it
-    combines) and `combine(values, t)` (its float value at level t from the
-    values of those periods)."""
+    tested order vanishes) and k its order."""
     k: int | None
-    genfn: object
+    genfn: GenFn | None
     steps: list
     all_zero_up_to: int | None = None
 
@@ -837,21 +941,34 @@ def _ext_items_from_q(q: ExtElem, w: OneForm):
     """Bucket form {(*levels, n): (A, B)} of the raw product q * w for the
     next reduction stage.
 
-    The product is not normal-formed here: Reducer.run normal-forms its input.
+    The product is summed over integer numerators, q and w each scaled to
+    its common denominator; each output coefficient is one Fraction.  It is
+    not normal-formed here: Reducer.run normal-forms its input.
     """
-    items = {}
+    q_den = _common_den(c for poly in q.entries.values() for c in poly.terms.values())
+    w_den = _common_den(chain(w.a.terms.values(), w.b.terms.values()))
+    w_terms = [(idx, k2, i2, j2, c2.numerator * (w_den // c2.denominator))
+               for idx, src in enumerate((w.a, w.b)) for (i2, j2, k2), c2 in src.terms.items()]
+    acc = {}
     for key, poly in q.entries.items():
         levels, p = key[:-1], key[-1]
         for (i, jy, kk), c in poly.terms.items():
-            base_n = kk - p
-            for tgt_idx, src in ((0, w.a), (1, w.b)):
-                for (i2, j2, k2), c2 in src.terms.items():
-                    slot_key = levels + (base_n + k2,)
-                    slot = items.get(slot_key)
-                    if slot is None:
-                        slot = items[slot_key] = ({}, {})
-                    _xy_add(slot[tgt_idx], i + i2, jy + j2, c * c2)
-    return {k: v for k, v in items.items() if v[0] or v[1]}
+            c = c.numerator * (q_den // c.denominator)
+            for idx, k2, i2, j2, c2 in w_terms:
+                slot_key = levels + (kk - p + k2,)
+                slot = acc.get(slot_key)
+                if slot is None:
+                    slot = acc[slot_key] = ({}, {})
+                xy = slot[idx]
+                xy_key = (i + i2, jy + j2)
+                xy[xy_key] = xy.get(xy_key, 0) + c * c2
+    den = q_den * w_den
+    items = {}
+    for slot_key, parts in acc.items():
+        parts = tuple({xy: Fraction(v, den) for xy, v in part.items() if v} for part in parts)
+        if parts[0] or parts[1]:
+            items[slot_key] = parts
+    return items
 
 
 def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,

@@ -17,11 +17,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (D4_TRIANGLE, ISTAR, OneForm, Period, ValidationError, WeightedPoly,
-                      _xy_add)
+from .algebra import D4_TRIANGLE, ISTAR, OneForm, Period, ValidationError, WeightedPoly
 from .reduction import (ExtElem, LogRing, Reduction, ShapeError, UnitReducer, _DX, _DY,
-                        _add_scaled, _ext_from_terms, _form_items, _nonzero, _xy_dict,
-                        francoise_chain)
+                        _common_den, _ext_from_terms, _form_items, _nonzero, _numerators,
+                        _xy_dict, francoise_chain)
 from .upoly import Poly, RatFn, normalize_coeff_vector, poly_gcd, ratfn_nullvector
 
 # f dL = WL_X dx + WL_Y dy
@@ -50,7 +49,10 @@ def _divide_by_f(poly):
         qm, qj = m - 1, j - 2
         quot[(qm, qj)] = c
         for (fm, fj), fc in TRIANGLE_RING.f.items():
-            _xy_add(rem, qm + fm, qj + fj, -c * fc)
+            key = (qm + fm, qj + fj)
+            rem[key] = rem.get(key, 0) - c * fc
+            if not rem[key]:
+                del rem[key]
     return quot
 
 
@@ -208,7 +210,7 @@ def reduce_full(items) -> Reduction:
     Conversions leave new residues, so convert until no slot is balanced.
     """
     red = D4Reducer()
-    exact, q, res = red.reduce_units(red._units(items))
+    exact, q, res = red.reduce_units(*red._units(items))
     for _ in range(64):
         balanced = {(a, 0, p, _BALANCED): c for (a, b, p, m), c in res.items()
                     if b == 0 and m == 1 and (a, 0, p, -1) not in res
@@ -218,8 +220,10 @@ def reduce_full(items) -> Reduction:
                              residue=res)
         for (a, _, p, _) in balanced:
             del res[(a, 0, p, 0)], res[(a, 0, p, 1)]
-        for part, new in zip((exact, q, res), red.reduce_units(balanced)):
-            _add_scaled(part, new, 1)
+        den = _common_den(balanced.values())
+        for part, new in zip((exact, q, res), red.reduce_units(_numerators(balanced, den), den)):
+            for key, c in new.items():
+                part[key] = part.get(key, 0) + c
         exact, q, res = map(_nonzero, (exact, q, res))
     raise ShapeError("balanced-residue conversion did not stabilize")
 

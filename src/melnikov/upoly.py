@@ -7,7 +7,7 @@ low degree first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -159,44 +159,30 @@ class Poly:
         return Poly([a / c for a in self.coeffs])
 
     def rational_roots(self):
-        """All rational roots with multiplicity; returns (roots, remaining_factor)."""
+        """All rational roots with multiplicity; returns (roots, remaining_factor).
+
+        A candidate p/q in lowest terms, p dividing the constant and q the
+        leading coefficient of the cleared integer polynomial a, is a root
+        iff sum_i a_i p^i q^(n-i) = 0 (integer Horner).  Candidates run over
+        p, then q, ascending, + before -, so the first root found is the
+        same as over every divisor pair.
+        """
         p = self
         roots = []
         while not p.is_zero() and p.coeffs[0] == 0:
             roots.append(Fraction(0))
             p = Poly(p.coeffs[1:])
-        if p.degree <= 0:
-            return roots, p
-        # clear denominators for the rational root candidates
-        den_lcm = 1
-        for c in p.coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ip = [int(c * den_lcm) for c in p.coeffs]
-        while True:
-            if p.degree <= 0:
-                break
-            a0, an = abs(ip[0]), abs(ip[-1])
-            found = None
-            for pd in _divisors(a0):
-                for qd in _divisors(an):
-                    for sgn in (1, -1):
-                        cand = Fraction(sgn * pd, qd)
-                        if p.eval_exact(cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
+        while p.degree > 0:
+            den = lcm(*(c.denominator for c in p.coeffs))
+            ip = [c.numerator * (den // c.denominator) for c in p.coeffs]
+            found = next((Fraction(sgn * pd, qd) for pd in _divisors(ip[0])
+                          for qd in _divisors(ip[-1]) if gcd(pd, qd) == 1
+                          for sgn in (1, -1) if _int_horner(ip, sgn * pd, qd) == 0), None)
             if found is None:
                 break
             roots.append(found)
             p, r = p.divmod(Poly([-found, 1]))
             assert r.is_zero()
-            den_lcm = 1
-            for c in p.coeffs:
-                den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-            ip = [int(c * den_lcm) for c in p.coeffs]
         return roots, p
 
     def to_strings(self):
@@ -216,6 +202,16 @@ class Poly:
             else:
                 parts.append(f"{c}*t^{i}")
         return " + ".join(parts)
+
+
+def _int_horner(a, p: int, q: int) -> int:
+    """sum_i a_i p^i q^(n-i) for integer coefficients a (low degree first):
+    q^n times the value of the polynomial at p/q."""
+    acc, q_power = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc
 
 
 def _divisors(n: int):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,12 @@ def test_normal_form_idempotent_and_function_preserving(spec):
 def test_normal_form_rejects_triangle():
     with pytest.raises(ValueError):
         normal_form(X**4, D4_TRIANGLE)
+
+
+def test_normal_form_needs_a_unit_quartic_sign():
+    """The integer x^4 tables divide by s, which must be +-1."""
+    with pytest.raises(ValueError, match="s = [+]-1"):
+        normal_form(X**4, replace(EIGHT_LOOP, s=2))
 
 
 def test_d_of_closure_polynomial():

@@ -1,19 +1,23 @@
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from melnikov import algebra as _alg, reduction as _red
+from melnikov import reduction as _red
 from melnikov.algebra import (
     WeightedPoly, OneForm, EIGHT_LOOP, DOUBLE_HETEROCLINIC, GLOBAL_CENTER,
     Period, d, sigma, normal_form,
 )
+from melnikov.cli import parse_one_form
 from melnikov.reduction import (
     Reducer, Reduction, ShapeError, decompose, decompose_ext, francoise_chain,
     ExtElem, _form_items, check_q_shape, check_reconstruction, m1_zero_forms, quartic_ring,
 )
+from melnikov.triangle import D4Reducer, reduce_full
 from melnikov.upoly import Poly
 
 X = WeightedPoly.var_x()
@@ -361,19 +365,14 @@ def test_reducer_cold_and_warm_runs_agree(spec, config, items):
     assert cold.residue == warm.residue
 
 
-def _clear_reduction_caches():
-    _alg._MONO_SPLIT_CACHE.clear()
-    _red._clear_unit_cache()
-
-
 def test_caches_keyed_on_spec_parameters():
     """A spec that shares the eight-loop's name but not its e gets its own answers."""
     from melnikov.algebra import _build_quartic
     other = replace(EIGHT_LOOP, e=2, h_poly=_build_quartic("eight-loop", 1, 2))
     w = OneForm(X**5 * Y**2 + Y**3 + X * Y, X**4 * Y)
-    _clear_reduction_caches()
+    _red._clear_unit_cache()  # the x^4 tables live in the stores too
     cold = decompose_ext(w, other).to_json()
-    _clear_reduction_caches()
+    _red._clear_unit_cache()
     decompose_ext(w, EIGHT_LOOP)
     assert decompose_ext(w, other).to_json() == cold
     assert cold != decompose_ext(w, EIGHT_LOOP).to_json()
@@ -395,3 +394,140 @@ def test_reducer_guard_detects_a_cycle():
     with pytest.raises(ShapeError, match="failed to terminate"):
         Cycling(EIGHT_LOOP, fold_sigma1=True).run({(0, 0): ({}, {(1, 0): Fraction(1)})})
     _red._clear_unit_cache()  # Cycling shares the reducer's cache key
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the integer-numerator core and the per-key unit cache
+# ---------------------------------------------------------------------------
+
+# 1/(2^127 - 1), far below double precision: a float shortcut in the
+# oracle would miss it, and arithmetic modulo that prime cannot hold it
+_TINY = Fraction(1, 2**127 - 1)
+_PHI_ITEMS = {(0, 0): ({(0, 1): Fraction(2, 3), (5, 2): Fraction(-1, 7)}, {(4, 1): 3}),
+              (1, -1): ({(1, 1): Fraction(1, 5)}, {(2, 2): Fraction(-3, 4)})}
+
+
+@pytest.mark.parametrize("part", sorted(_fresh_keys))
+def test_oracle_catches_a_perturbation_below_float_precision(part):
+    red = _reduce(EIGHT_LOOP, True, _PHI_ITEMS)
+    check_reconstruction(quartic_ring(EIGHT_LOOP), _PHI_ITEMS, red)
+    keys = [key for key in _coefficient_keys(red, _PHI_ITEMS, part) if key != (0, 0, 0, 0)]
+    for key in (keys[0], keys[-1]):
+        bad_red, bad_items = _perturb(red, _PHI_ITEMS, part, key, _TINY)
+        with pytest.raises(ShapeError, match="does not reconstruct"):
+            check_reconstruction(quartic_ring(EIGHT_LOOP), bad_items, bad_red)
+
+
+def test_store_rescale_keeps_cached_answers_exact():
+    """A fill that brings a new prime into the store's denominator rescales
+    the cached numerators exactly: the first input's answer is unchanged."""
+    _red._clear_unit_cache()
+    low = {(0, 0): ({(0, 2): Fraction(1, 3), (1, 1): 1}, {(2, 0): Fraction(-1, 2)})}
+    cold = _reduce(EIGHT_LOOP, True, low)
+    store = _red._UNIT_CACHE[Reducer(EIGHT_LOOP, fold_sigma1=True).cache_key]
+    assert store.den % 23
+    _reduce(EIGHT_LOOP, True, {(0, 0): ({(0, 11): 1}, {})})  # y^11 dx divides by 23
+    assert store.den % 23 == 0
+    assert _reduce(EIGHT_LOOP, True, low) == cold
+
+
+def test_unit_cache_evicts_other_keys_first(monkeypatch):
+    """Over the bound, a run drops the stores of other cache keys, least
+    recently run first, and empties its own store only when that alone is
+    over the bound; the x^4 tables count towards their store's size."""
+    _red._clear_unit_cache()
+    quartic = _form_items(OneForm(X**5 * Y**2 + Y**3, X**4 * Y), EIGHT_LOOP)
+    triangle = {(0, 0, 0): ({(2, 1): Fraction(1, 2), (0, 3): 1}, {(1, 2): 3})}
+    qkey, tkey = Reducer(EIGHT_LOOP, fold_sigma1=True).cache_key, D4Reducer.cache_key
+    q_cold = _reduce(EIGHT_LOOP, True, quartic)
+    t_cold = reduce_full(triangle)
+    q_store, t_store = _red._UNIT_CACHE[qkey], _red._UNIT_CACHE[tkey]
+    assert q_store.split and q_store.size() > q_store.terms
+    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", max(q_store.size(), t_store.size()))
+    for _ in range(2):
+        entries = len(q_store.entries)
+        assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
+        assert list(_red._UNIT_CACHE) == [qkey]
+        assert _red._UNIT_CACHE[qkey] is q_store and len(q_store.entries) == entries
+        assert reduce_full(triangle) == t_cold
+        assert list(_red._UNIT_CACHE) == [qkey, tkey]  # the quartic store fits
+        t_store = _red._UNIT_CACHE[tkey]
+        assert reduce_full(triangle) == t_cold
+        assert list(_red._UNIT_CACHE) == [tkey] and _red._UNIT_CACHE[tkey] is t_store
+        assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
+        q_store = _red._UNIT_CACHE[qkey]
+    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", q_store.size() - 1)
+    assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
+    assert list(_red._UNIT_CACHE) == [qkey] and _red._UNIT_CACHE[qkey] is not q_store
+    # three keys: the least recently run other key goes first
+    _red._clear_unit_cache()
+    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", 200_000)
+    interior = Reducer(EIGHT_LOOP, fold_sigma1=False).cache_key
+    _reduce(EIGHT_LOOP, False, quartic)
+    _reduce(EIGHT_LOOP, True, quartic)
+    reduce_full(triangle)
+    sizes = {key: store.size() for key, store in _red._UNIT_CACHE.items()}
+    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", sizes[qkey] + sizes[tkey])
+    assert reduce_full(triangle) == t_cold
+    assert list(_red._UNIT_CACHE) == [qkey, tkey] and interior in sizes
+    _red._clear_unit_cache()
+
+
+def test_concurrent_runs_get_their_single_threaded_answers():
+    """A fill rescales its store's numerators in place, so runs of one cache
+    key in several threads must not interleave a rescale with a sum."""
+    inputs = [{(0, 0): ({(0, j): Fraction(1, j + 1), (5, 1): 1}, {(3, j - 1): 2})}
+              for j in range(2, 14)]
+    _red._clear_unit_cache()
+    expected = [_reduce(EIGHT_LOOP, True, items) for items in inputs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _red._clear_unit_cache()
+            results = [None] * len(inputs)
+
+            def work(i):
+                results[i] = _reduce(EIGHT_LOOP, True, inputs[i])
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == expected
+    finally:
+        sys.setswitchinterval(switch)
+        _red._clear_unit_cache()
+
+
+# ---------------------------------------------------------------------------
+# Reversible perturbations
+# ---------------------------------------------------------------------------
+
+_REVERSIBLE = ("-1 x^5 dx + 2 x^3 y^2 dx - 3/2 x^3 dx + 4 x y dx + 3 x dx "
+               "- 1 x^2 y^3 dy + 5/3 y^5 dy - 2/3 y^2 dy")
+_rev_terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                             _coef.filter(bool), max_size=4)
+
+
+def _reversible(a, b):
+    """A dx + B dy with A odd and B even in x, of degree <= 5."""
+    return OneForm(WeightedPoly({(i, j, 0): c for (i, j), c in a.items() if i % 2 and i + j <= 5}),
+                   WeightedPoly({(i, j, 0): c for (i, j), c in b.items()
+                                 if i % 2 == 0 and i + j <= 5}))
+
+
+_EXTERIOR = [(EIGHT_LOOP, "exterior"), (DOUBLE_HETEROCLINIC, "main"), (GLOBAL_CENTER, "main")]
+
+
+@settings(max_examples=5, deadline=None)
+@given(w=st.builds(_reversible, _rev_terms, _rev_terms), case=st.sampled_from(_EXTERIOR))
+@example(w=parse_one_form(_REVERSIBLE), case=_EXTERIOR[0])
+@example(w=parse_one_form(_REVERSIBLE), case=_EXTERIOR[2])
+def test_reversible_perturbations_vanish_to_every_order(w, case):
+    """A form invariant under x -> -x has the identity as return map on a
+    symmetric (exterior-type) annulus, so every M_k vanishes."""
+    res = francoise_chain(w, *case, k_max=3)
+    assert res.genfn is None and res.all_zero_up_to == 3

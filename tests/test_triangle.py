@@ -386,3 +386,21 @@ def test_triangle_oracle_rejects_one_perturbed_coefficient(items, part, delta, d
     bad_red, bad_items = _perturb(red, items, part, key, delta)
     with pytest.raises(ShapeError, match="does not reconstruct"):
         check_reconstruction(TRIANGLE_RING, bad_items, bad_red)
+
+
+# 1/(2^127 - 1), far below double precision: a float shortcut in the
+# oracle would miss it, and arithmetic modulo that prime cannot hold it
+_TINY = Fraction(1, 2**127 - 1)
+_LOG_ITEMS = {(0, 0, 0): ({(2, 1): Fraction(1, 3), (-1, 2): 2}, {(1, 2): Fraction(-5, 7)}),
+              (1, 1, -1): ({(0, 1): Fraction(3, 4)}, {(2, 0): 1})}
+
+
+@pytest.mark.parametrize("part", sorted(_fresh_keys))
+def test_triangle_oracle_catches_a_perturbation_below_float_precision(part):
+    red = reduce_full(_LOG_ITEMS)
+    check_reconstruction(TRIANGLE_RING, _LOG_ITEMS, red)
+    keys = [key for key in _coefficient_keys(red, _LOG_ITEMS, part) if key != (0, 0, 0, 0, 0)]
+    for key in (keys[0], keys[-1]):
+        bad_red, bad_items = _perturb(red, _LOG_ITEMS, part, key, _TINY)
+        with pytest.raises(ShapeError, match="does not reconstruct"):
+            check_reconstruction(TRIANGLE_RING, bad_items, bad_red)

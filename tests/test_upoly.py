@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from melnikov.upoly import Poly, RatFn, poly_gcd, exact_nullspace, ratfn_nullvector
 
@@ -73,3 +73,21 @@ def test_ratfn_nullvector_simple():
     # p0 * row0 + p1 * row1 + p2 * row2 = 0 forces p2 = 0 and p0 = -t p1
     assert p[2].is_zero()
     assert p[0] == -(p[1] * t)
+
+
+_roots = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=4)
+
+
+@given(roots=_roots, b=st.integers(-5, 5), c=st.integers(1, 6),
+       scale=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+def test_rational_roots_of_linear_factors_times_an_irreducible_quadratic(roots, b, c, scale):
+    """t^2 + b t + c with b^2 < 4c has no real root, so rational_roots
+    returns exactly the linear factors' roots and the scaled quadratic."""
+    assume(b * b < 4 * c)
+    quadratic = Poly([c, b, 1]) * scale
+    p = quadratic
+    for r in roots:
+        p = p * Poly([-r, 1])
+    found, rem = p.rational_roots()
+    assert sorted(found) == sorted(roots)
+    assert rem == quadratic
