@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol
 
 
 class ValidationError(ValueError):
@@ -258,7 +258,6 @@ class Period(NamedTuple):
         return cls(((k, 1),), 0, ypow)
 
 
-@runtime_checkable
 class GenFn(Protocol):
     """A generating function M_k as the numerics and the CLI read it, with
     k its order: `basis` holds the Period keys of the periods it combines

@@ -18,7 +18,6 @@ moves, its dlog table, its ring data and its chain hooks.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -206,64 +205,49 @@ def _ext_from_terms(terms) -> ExtElem:
 class _Store:
     """The unit cache of one family cache key.
 
-    entries maps a unit key to the full reduction (exact, q, residue) of
-    that single unit monomial, each part a dict of integer numerators over
-    the shared denominator den; split holds the family's normal-form tables
+    entries maps a unit key to the full reduction of that single unit
+    monomial, stored as (d, (exact, q, residue)): each part a dict of
+    integer numerators over the entry's own denominator d.  An entry is
+    never changed once stored.  split holds the family's normal-form tables
     (`algebra._mono_split`), and terms counts the coefficients of both.
     """
 
-    __slots__ = ("den", "entries", "split", "terms")
+    __slots__ = ("entries", "split", "terms")
 
     def __init__(self):
-        self.den, self.entries, self.split, self.terms = 1, {}, {}, 0
+        self.entries, self.split, self.terms = {}, {}, 0
 
     def size(self) -> int:
         return self.terms + sum(len(xy) for table in self.split.values() for xy in table.values())
 
     def settle(self, key, own, kids):
-        """Store the entry own + sum c * entries[kid] of `key`.
-
-        The terms of own and the coefficients c are exact rationals.  The
-        entry is computed over den times their common denominator b, and
-        den grows by the part of b that the entry's numerators do not
-        cancel: every stored numerator is rescaled once by that factor.
-        """
-        b = _common_den(chain(kids.values(), *(part.values() for part in own)))
-        parts = tuple({k: c.numerator * (b // c.denominator) * self.den for k, c in part.items()}
-                      for part in own)
+        """Store the entry own + sum c * entries[kid] of `key`, over the
+        least common denominator of own's terms and of each c times its
+        kid's denominator."""
+        entries = self.entries
+        dens = {kid: c.denominator * entries[kid][0] for kid, c in kids.items()}
+        d = lcm(_common_den(chain(*(part.values() for part in own))), *dens.values())
+        parts = tuple(_numerators(part, d) for part in own)
         for kid, c in kids.items():
-            a = c.numerator * (b // c.denominator)
-            for part, src in zip(parts, self.entries[kid]):
+            a = c.numerator * (d // dens[kid])
+            for part, src in zip(parts, entries[kid][1]):
                 get = part.get
                 for k, v in src.items():
                     part[k] = get(k, 0) + a * v
         parts = tuple(map(_nonzero, parts))
-        if b > 1:
-            g = gcd(b, *(v for part in parts for v in part.values()))
-            if g < b:
-                r = b // g
-                for entry in self.entries.values():
-                    for part in entry:
-                        for k in part:
-                            part[k] *= r
-                self.den *= r
-            if g > 1:
-                parts = tuple({k: v // g for k, v in part.items()} for part in parts)
-        self.entries[key] = parts
+        g = gcd(d, *(v for part in parts for v in part.values()))
+        if g > 1:
+            d //= g
+            parts = tuple({k: v // g for k, v in part.items()} for part in parts)
+        entries[key] = (d, parts)
         self.terms += sum(map(len, parts))
 
 
-# {family cache key: _Store}, least recently run first.  When a run starts
-# with more than MAX_UNIT_CACHE_TERMS terms stored, the stores of other keys
-# are dropped, least recently run first, until the bound holds; the running
-# key's own store is emptied only when it alone is over the bound (a
-# benchmark chain settles near 21k terms).
+# {family cache key: _Store}.  When a run starts with more than
+# MAX_UNIT_CACHE_TERMS terms stored over all keys, x^4 tables included, the
+# whole cache is cleared (a benchmark chain settles near 21k terms).
 _UNIT_CACHE = {}
 MAX_UNIT_CACHE_TERMS = 200_000
-# A fill may rescale every numerator of its store in place, so everything
-# that reads or writes a store (eviction, normal form, fills, sums) holds
-# this lock: runs in other threads see a store before or after a rescale.
-_CACHE_LOCK = threading.Lock()
 
 
 def _clear_unit_cache():
@@ -271,20 +255,9 @@ def _clear_unit_cache():
 
 
 def _open_store(cache_key) -> _Store:
-    """The store of cache_key, marked most recently run, after eviction;
-    the caller holds _CACHE_LOCK."""
-    store = _UNIT_CACHE.pop(cache_key, None) or _Store()
-    sizes = {key: other.size() for key, other in _UNIT_CACHE.items()}
-    total = store.size() + sum(sizes.values())
-    for key, size in sizes.items():
-        if total <= MAX_UNIT_CACHE_TERMS:
-            break
-        del _UNIT_CACHE[key]
-        total -= size
-    if total > MAX_UNIT_CACHE_TERMS:
-        store = _Store()
-    _UNIT_CACHE[cache_key] = store
-    return store
+    if sum(store.size() for store in _UNIT_CACHE.values()) > MAX_UNIT_CACHE_TERMS:
+        _UNIT_CACHE.clear()
+    return _UNIT_CACHE.setdefault(cache_key, _Store())
 
 
 def _nonzero(d):
@@ -304,8 +277,8 @@ class UnitReducer:
     process: its entry (exact, q, residue) is its own move plus the cached
     entries of the unit monomials that move produces, scaled.  A run is the
     sparse sum of the entries of its input's monomials, over integer
-    numerators: the input is scaled to one denominator and the cache holds
-    one denominator per cache key, so Fractions appear only in the moves
+    numerators: the input is scaled to one denominator and each cache entry
+    holds integers over its own, so Fractions appear only in the moves
     and in the Reduction a run returns.  A family supplies `cache_key`
     (everything its answers depend on), `DLOG` and the moves: a unit key
     ends with an index into `MOVES`, and the named method, called with the
@@ -329,12 +302,11 @@ class UnitReducer:
         normal-formed units {unit key: integer numerator} and their common
         denominator."""
         den = _common_den(c for parts in items.values() for xy in parts for c in xy.values())
+        self.store = _open_store(self.cache_key)
         units = {}
-        with _CACHE_LOCK:
-            self.store = _open_store(self.cache_key)
-            for key, parts in items.items():
-                for kind, xy in enumerate(parts):
-                    self._put(units, key[:-1], key[-1], _numerators(xy, den), kind)
+        for key, parts in items.items():
+            for kind, xy in enumerate(parts):
+                self._put(units, key[:-1], key[-1], _numerators(xy, den), kind)
         return units, den
 
     def reduce_units(self, units, den):
@@ -342,18 +314,20 @@ class UnitReducer:
         opened -> (exact, q, residue) as nonzero Fraction dicts."""
         store = self.store
         entries = store.entries
+        units = {key: a for key, a in units.items() if a}
+        for key in units:
+            if key not in entries:
+                self._fill(store, key)
+        d = lcm(*(entries[key][0] for key in units))
         parts = ({}, {}, {})
-        with _CACHE_LOCK:
-            for key, a in units.items():
-                if a and key not in entries:
-                    self._fill(store, key)
-            for key, a in units.items():
-                if a:
-                    for part, src in zip(parts, entries[key]):
-                        get = part.get
-                        for k, v in src.items():
-                            part[k] = get(k, 0) + a * v
-            den *= store.den
+        for key, a in units.items():
+            e_den, e_parts = entries[key]
+            a *= d // e_den
+            for part, src in zip(parts, e_parts):
+                get = part.get
+                for k, v in src.items():
+                    part[k] = get(k, 0) + a * v
+        den *= d
         return tuple({k: Fraction(v, den) for k, v in part.items() if v} for part in parts)
 
     def _fill(self, store, root):

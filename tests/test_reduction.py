@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -418,88 +416,40 @@ def test_oracle_catches_a_perturbation_below_float_precision(part):
             check_reconstruction(quartic_ring(EIGHT_LOOP), bad_items, bad_red)
 
 
-def test_store_rescale_keeps_cached_answers_exact():
-    """A fill that brings a new prime into the store's denominator rescales
-    the cached numerators exactly: the first input's answer is unchanged."""
+def test_entry_with_a_new_prime_leaves_cached_answers_exact():
+    """A fill that brings a new prime into its entries' denominators leaves
+    the entries cached before it, and the first input's answer, unchanged."""
     _red._clear_unit_cache()
     low = {(0, 0): ({(0, 2): Fraction(1, 3), (1, 1): 1}, {(2, 0): Fraction(-1, 2)})}
     cold = _reduce(EIGHT_LOOP, True, low)
     store = _red._UNIT_CACHE[Reducer(EIGHT_LOOP, fold_sigma1=True).cache_key]
-    assert store.den % 23
+    before = dict(store.entries)
+    assert all(d % 23 for d, _ in before.values())
     _reduce(EIGHT_LOOP, True, {(0, 0): ({(0, 11): 1}, {})})  # y^11 dx divides by 23
-    assert store.den % 23 == 0
+    assert any(d % 23 == 0 for d, _ in store.entries.values())
+    assert all(store.entries[key] == entry for key, entry in before.items())
     assert _reduce(EIGHT_LOOP, True, low) == cold
 
 
-def test_unit_cache_evicts_other_keys_first(monkeypatch):
-    """Over the bound, a run drops the stores of other cache keys, least
-    recently run first, and empties its own store only when that alone is
-    over the bound; the x^4 tables count towards their store's size."""
+def test_unit_cache_bound_counts_every_store_and_clears_all(monkeypatch):
+    """A run that starts over the bound, x^4 tables included, clears the
+    cache of every family, and answers stay the same."""
     _red._clear_unit_cache()
     quartic = _form_items(OneForm(X**5 * Y**2 + Y**3, X**4 * Y), EIGHT_LOOP)
     triangle = {(0, 0, 0): ({(2, 1): Fraction(1, 2), (0, 3): 1}, {(1, 2): 3})}
     qkey, tkey = Reducer(EIGHT_LOOP, fold_sigma1=True).cache_key, D4Reducer.cache_key
     q_cold = _reduce(EIGHT_LOOP, True, quartic)
-    t_cold = reduce_full(triangle)
-    q_store, t_store = _red._UNIT_CACHE[qkey], _red._UNIT_CACHE[tkey]
+    q_store = _red._UNIT_CACHE[qkey]
     assert q_store.split and q_store.size() > q_store.terms
-    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", max(q_store.size(), t_store.size()))
-    for _ in range(2):
-        entries = len(q_store.entries)
-        assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
-        assert list(_red._UNIT_CACHE) == [qkey]
-        assert _red._UNIT_CACHE[qkey] is q_store and len(q_store.entries) == entries
-        assert reduce_full(triangle) == t_cold
-        assert list(_red._UNIT_CACHE) == [qkey, tkey]  # the quartic store fits
-        t_store = _red._UNIT_CACHE[tkey]
-        assert reduce_full(triangle) == t_cold
-        assert list(_red._UNIT_CACHE) == [tkey] and _red._UNIT_CACHE[tkey] is t_store
-        assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
-        q_store = _red._UNIT_CACHE[qkey]
     monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", q_store.size() - 1)
-    assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
-    assert list(_red._UNIT_CACHE) == [qkey] and _red._UNIT_CACHE[qkey] is not q_store
-    # three keys: the least recently run other key goes first
-    _red._clear_unit_cache()
+    t_cold = reduce_full(triangle)
+    assert list(_red._UNIT_CACHE) == [tkey]
     monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", 200_000)
-    interior = Reducer(EIGHT_LOOP, fold_sigma1=False).cache_key
-    _reduce(EIGHT_LOOP, False, quartic)
-    _reduce(EIGHT_LOOP, True, quartic)
-    reduce_full(triangle)
-    sizes = {key: store.size() for key, store in _red._UNIT_CACHE.items()}
-    monkeypatch.setattr(_red, "MAX_UNIT_CACHE_TERMS", sizes[qkey] + sizes[tkey])
+    assert _reduce(EIGHT_LOOP, True, quartic) == q_cold
+    assert list(_red._UNIT_CACHE) == [tkey, qkey]
+    _red._clear_unit_cache()
     assert reduce_full(triangle) == t_cold
-    assert list(_red._UNIT_CACHE) == [qkey, tkey] and interior in sizes
     _red._clear_unit_cache()
-
-
-def test_concurrent_runs_get_their_single_threaded_answers():
-    """A fill rescales its store's numerators in place, so runs of one cache
-    key in several threads must not interleave a rescale with a sum."""
-    inputs = [{(0, 0): ({(0, j): Fraction(1, j + 1), (5, 1): 1}, {(3, j - 1): 2})}
-              for j in range(2, 14)]
-    _red._clear_unit_cache()
-    expected = [_reduce(EIGHT_LOOP, True, items) for items in inputs]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            _red._clear_unit_cache()
-            results = [None] * len(inputs)
-
-            def work(i):
-                results[i] = _reduce(EIGHT_LOOP, True, inputs[i])
-
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert results == expected
-    finally:
-        sys.setswitchinterval(switch)
-        _red._clear_unit_cache()
 
 
 # ---------------------------------------------------------------------------
