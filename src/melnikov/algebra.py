@@ -172,10 +172,12 @@ class WeightedPoly:
         return acc
 
     def eval_float(self, x: float, y: float, h: float = None) -> float:
-        acc = 0.0
-        for (i, j, k), c in self.terms.items():
-            acc += float(c) * x**i * y**j * (h**k if k else 1.0)
-        return acc
+        return eval_float_terms(self.float_terms(), x, y, h)
+
+    def float_terms(self) -> tuple:
+        """((i, j, k, float(c)), ...) in term order, for eval_float_terms at
+        many points.  Built fresh on each call: `terms` may change in place."""
+        return tuple((i, j, k, float(c)) for (i, j, k), c in self.terms.items())
 
     # -- printing ----------------------------------------------------------
     def sorted_terms(self):
@@ -197,6 +199,14 @@ class WeightedPoly:
 
     def __repr__(self):
         return f"WeightedPoly({self.canonical()})"
+
+
+def eval_float_terms(terms, x: float, y: float, h: float = None) -> float:
+    """Float value at (x, y, H = h) of a polynomial given by its float_terms."""
+    acc = 0.0
+    for i, j, k, c in terms:
+        acc += c * x**i * y**j * (h**k if k else 1.0)
+    return acc
 
 
 @dataclass(frozen=True)

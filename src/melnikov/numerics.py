@@ -4,16 +4,24 @@ Ovals are parameterized through the angle substitution x = c + r sin(theta),
 which removes the square-root endpoint singularity of the y-branches: each
 family's y^2 factors explicitly, so y = r cos(theta) S(x) with a smooth
 positive S.  Every period integrated here is one weighted moment
-int p(x) (ln x)^b y^s dx (an algebra.Period) under one quadrature kernel;
+int p(x) (ln x)^b y^s dx (an algebra.Period) under one integrand in theta;
 general one-forms take the two-arc path.  Orientation follows the
 unperturbed flow for the quartic family (clockwise in the plane); the
 triangle ovals are taken counterclockwise, matching the convention under
 which the log period tends to -6 at the inner critical value.  Shooting
 reads the flow's direction from the oval's orientation, so only
 trace_oval looks at the Hamiltonian's family.
+
+Every entry point takes a vector of levels in one numpy pass: trace_oval
+traces all the ovals at once, period_values applies Gauss-Legendre rules in
+theta of doubling order to all the levels it has not cached, and
+shooting_oracle integrates all its (level, eps) pairs as one stacked ODE
+system.  Adaptive quad is the fallback for periods whose rules do not
+settle, and the independent oracle of the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +30,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from .algebra import (D4_TRIANGLE, ISTAR, GenFn, HamiltonianSpec, OneForm, Period,
-                      ValidationError)
+                      ValidationError, eval_float_terms)
 
 
 class NumericsError(RuntimeError):
@@ -35,7 +43,11 @@ class NumericsError(RuntimeError):
 
 @dataclass
 class Oval:
-    """One closed level curve with an explicit two-arc parameterization."""
+    """One closed level curve with an explicit two-arc parameterization.
+
+    For an array of m levels, t, x_lo, x_hi and the closures' parameters are
+    columns of shape (m, 1), so x_of on a row of angles gives one row per
+    level."""
     spec: HamiltonianSpec
     t: float
     annulus: str
@@ -77,14 +89,14 @@ class Oval:
         return pts
 
 
-def _a3_branch_data(spec: HamiltonianSpec, t: float, annulus: str):
+def _a3_branch_data(spec: HamiltonianSpec, t, annulus: str):
+    """x-range, S and y^2' of a quartic oval; t is a float or a column."""
     s, e = spec.s, spec.e
+    root = np.sqrt(np.abs(t))
     if spec.name == "eight-loop":
         if annulus in ("interior_left", "interior_right"):
-            if not (0.0 < t < 0.25):
-                raise NumericsError("level outside the interior annulus")
-            xm = math.sqrt(1 - 2 * math.sqrt(t))
-            xp = math.sqrt(1 + 2 * math.sqrt(t))
+            xm = np.sqrt(1 - 2 * root)
+            xp = np.sqrt(1 + 2 * root)
             if annulus == "interior_right":
                 lo, hi = xm, xp
                 S = lambda x: np.sqrt((xp + x) * (x + xm) / 2.0)
@@ -92,24 +104,18 @@ def _a3_branch_data(spec: HamiltonianSpec, t: float, annulus: str):
                 lo, hi = -xp, -xm
                 S = lambda x: np.sqrt((xp - x) * (xm - x) / 2.0)
         else:
-            if not (t > 0.25):
-                raise NumericsError("level outside the exterior annulus")
-            X = math.sqrt(1 + 2 * math.sqrt(t))
-            c2 = 2 * math.sqrt(t) - 1
+            X = np.sqrt(1 + 2 * root)
+            c2 = 2 * root - 1
             lo, hi = -X, X
             S = lambda x: np.sqrt((x * x + c2) / 2.0)
     elif spec.name == "double-heteroclinic":
-        if not (-0.25 < t < 0.0):
-            raise NumericsError("level outside the annulus")
-        a = math.sqrt(1 - 2 * math.sqrt(-t))
-        b2 = 1 + 2 * math.sqrt(-t)
+        a = np.sqrt(1 - 2 * root)
+        b2 = 1 + 2 * root
         lo, hi = -a, a
         S = lambda x: np.sqrt((b2 - x * x) / 2.0)
     elif spec.name == "global-center":
-        if not (t > 0.25):
-            raise NumericsError("level outside the annulus")
-        a = math.sqrt(2 * math.sqrt(t) - 1)
-        c2 = 1 + 2 * math.sqrt(t)
+        a = np.sqrt(2 * root - 1)
+        c2 = 1 + 2 * root
         lo, hi = -a, a
         S = lambda x: np.sqrt((x * x + c2) / 2.0)
     else:
@@ -118,49 +124,89 @@ def _a3_branch_data(spec: HamiltonianSpec, t: float, annulus: str):
     return lo, hi, S, gp
 
 
-def _d4_roots(t: float):
-    """Roots of x (x-3)^2 + t = 0; the oval spans the two smallest."""
-    r = np.roots([1.0, -6.0, 9.0, t])
-    r = np.sort(r.real[np.abs(r.imag) < 1e-9])
-    if len(r) != 3:
-        raise NumericsError("triangle level outside the oval range")
-    # Newton polish
-    out = []
-    for x in r:
+def _d4_roots(t):
+    """Roots r1 < r2 < r3 of x (x-3)^2 + t = 0 for -4 < t < 0, elementwise.
+
+    With x = 2 + z the cubic is z^3 - 3z + 2 + t, whose roots are
+    2 cos((phi - 2 pi k) / 3) with cos(phi) = -(2 + t) / 2; Newton's method
+    then polishes each root until its own step is below 1e-15 relative.
+    """
+    phi = np.arccos(np.clip(-(2.0 + t) / 2.0, -1.0, 1.0))
+    roots = []
+    for k in (2, 1, 0):
+        x = 2.0 + 2.0 * np.cos((phi - 2.0 * np.pi * k) / 3.0)
+        moving = np.ones(np.shape(x), dtype=bool)
         for _ in range(40):
-            fv = ((x - 6) * x + 9) * x + t
-            dv = (3 * x - 12) * x + 9
-            step = fv / dv
-            x -= step
-            if abs(step) < 1e-15 * max(1.0, abs(x)):
+            step = np.where(moving, (((x - 6) * x + 9) * x + t) / ((3 * x - 12) * x + 9), 0.0)
+            x = x - step
+            moving &= np.abs(step) >= 1e-15 * np.maximum(1.0, np.abs(x))
+            if not moving.any():
                 break
-        out.append(x)
-    return out
+        roots.append(x if np.ndim(t) else float(x))
+    return roots
 
 
-def trace_oval(spec: HamiltonianSpec, t: float, annulus: str,
-               margin: float = 1e-6) -> Oval:
-    """Build the oval object for a level strictly inside the annulus."""
+def trace_oval(spec: HamiltonianSpec, t, annulus: str, margin: float = 1e-6) -> Oval:
+    """Build the oval object for a level strictly inside the annulus, or for
+    every level of a 1-d array t at once (see Oval)."""
     if annulus not in spec.annuli:
         raise ValidationError(f"unknown annulus {annulus!r} for {spec.name}")
+    ts = np.asarray(t, dtype=float)
     lo_t, hi_t = spec.sigma_range(annulus)
-    width = (hi_t - lo_t) if math.isfinite(hi_t) else max(1.0, abs(t) + 1.0)
-    if not (lo_t + margin * width < t) or (math.isfinite(hi_t) and not (t < hi_t - margin * width)):
-        raise NumericsError(f"level {t} outside the annulus interval")
+    if math.isfinite(hi_t):
+        width = hi_t - lo_t
+        inside = (lo_t + margin * width < ts) & (ts < hi_t - margin * width)
+    else:
+        inside = lo_t + margin * np.maximum(1.0, np.abs(ts) + 1.0) < ts
+    if not np.all(inside):
+        raise NumericsError(f"level {ts[~inside].flat[0]} outside the annulus interval")
+    col = ts[:, None] if ts.ndim else float(ts)
     if spec.kind == "quartic":
-        lo, hi, S, gp = _a3_branch_data(spec, t, annulus)
-        return Oval(spec=spec, t=t, annulus=annulus, x_lo=lo, x_hi=hi,
-                    smooth_factor=S, g_prime=gp, orientation=+1)
-    r1, r2, r3 = _d4_roots(t)
-    S = lambda x: np.sqrt((r3 - x) / x)
-    gp = lambda x: -t / (x * x) + 2.0 * (x - 3.0)
-    return Oval(spec=spec, t=t, annulus=annulus, x_lo=r1, x_hi=r2,
-                smooth_factor=S, g_prime=gp, orientation=-1)
+        lo, hi, S, gp = _a3_branch_data(spec, col, annulus)
+        orientation = +1
+    else:
+        lo, hi, r3 = _d4_roots(col)
+        S = lambda x: np.sqrt((r3 - x) / x)
+        gp = lambda x: -col / (x * x) + 2.0 * (x - 3.0)
+        orientation = -1
+    if not ts.ndim:
+        lo, hi = float(lo), float(hi)
+    return Oval(spec=spec, t=col, annulus=annulus, x_lo=lo, x_hi=hi,
+                smooth_factor=S, g_prime=gp, orientation=orientation)
 
 
 # ---------------------------------------------------------------------------
-# Quadrature of one-forms over ovals
+# Periods: Gauss-Legendre on vectors of levels, adaptive quad as fallback
 # ---------------------------------------------------------------------------
+
+def _check_period(oval: Oval, period: Period):
+    p, log, ypow = period
+    if ypow % 2 == 0:
+        raise ValueError(f"even power of y in {period!r}: the two arcs cancel")
+    if np.any(oval.x_lo <= 0) and (log or any(k < 0 for k, _ in p)):
+        raise NumericsError("integrand singular on or inside the oval")
+
+
+def _geometry(oval: Oval, theta):
+    """x, rc = r cos(theta) and S(x) at the angles theta."""
+    x = oval.x_of(theta)
+    return x, oval.radius * np.cos(theta), oval.smooth_factor(x)
+
+
+def _period_integrand(period: Period, x, rc, sx):
+    """The period's integrand in theta on (-pi/2, pi/2) for the clockwise
+    loop, from _geometry: y = rc S(x) and dx = rc dtheta, and an odd power
+    of y makes the two arcs contribute equally."""
+    p, log, ypow = period
+    v = 0.0
+    for k, a in p:
+        v = v + float(a) * x ** k
+    if log:
+        v = v * np.log(x) ** log
+    v = 2.0 * v * rc ** (ypow + 1)
+    sx = sx ** abs(ypow)
+    return v * sx if ypow > 0 else v / sx
+
 
 def _integrand_functions(oval: Oval, integrand):
     """Return F(theta) for the clockwise loop integral of the integrand: a
@@ -168,42 +214,25 @@ def _integrand_functions(oval: Oval, integrand):
     r = oval.radius
 
     if isinstance(integrand, Period):
-        # y = rc S(x) and dx = rc dtheta with rc = r cos(theta); an odd power
-        # of y makes the two arcs contribute equally
-        p, log, ypow = integrand
-        if ypow % 2 == 0:
-            raise ValueError(f"even power of y in {integrand!r}: the two arcs cancel")
-        c, S, n = oval.center, oval.smooth_factor, abs(ypow)
-
-        def F(theta):
-            x = c + r * math.sin(theta)
-            rc = r * math.cos(theta)
-            v = 0.0
-            for k, a in p:
-                v += a * x ** k
-            if log:
-                v *= math.log(x) ** log
-            v = 2.0 * v * rc ** (ypow + 1)
-            sx = S(x) if n == 1 else S(x) ** n
-            return v * sx if ypow > 0 else v / sx
-        return F
+        _check_period(oval, integrand)
+        return lambda theta: _period_integrand(integrand, *_geometry(oval, theta))
 
     if isinstance(integrand, OneForm):
-        a = integrand.a
-        b = integrand.b
+        a = integrand.a.float_terms()
+        b = integrand.b.float_terms()
         tval = oval.t
 
         def A(x, y):
-            return a.eval_float(x, y, tval)
+            return eval_float_terms(a, x, y, tval)
 
         def B(x, y):
-            return b.eval_float(x, y, tval)
+            return eval_float_terms(b, x, y, tval)
     else:
         A, B = integrand  # pair of callables
 
     def F(theta):
-        x = oval.x_of(theta)
-        y = oval.y_top(theta)
+        x = float(oval.x_of(theta))      # Python floats: faster in A and B
+        y = float(oval.y_top(theta))
         dx = r * np.cos(theta)
         dy = oval.dy_top(theta)
         return (A(x, y) - A(x, -y)) * dx + (B(x, y) + B(x, -y)) * dy
@@ -211,13 +240,10 @@ def _integrand_functions(oval: Oval, integrand):
 
 
 def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
-    """Adaptive quadrature of a Period or a one-form over the oval, oriented
-    as traced."""
+    """Adaptive quadrature of a Period or a one-form over the oval (of one
+    level), oriented as traced."""
     import warnings
     from scipy.integrate import IntegrationWarning
-    if isinstance(integrand, Period) and oval.x_lo <= 0 \
-            and (integrand.log or any(k < 0 for k, _ in integrand.p)):
-        raise NumericsError("integrand singular on or inside the oval")
     F = _integrand_functions(oval, integrand)
     with warnings.catch_warnings():
         # round-off warnings near the requested tolerance are adjudicated
@@ -230,6 +256,57 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     return oval.orientation * val
 
 
+# Gauss-Legendre orders tried in turn; a period is accepted at the first
+# order that agrees with the one before it.
+GL_ORDERS = (8, 16, 32, 64, 128, 256)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Angles in (-pi/2, pi/2) and weights of the n-point rule."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * np.pi * u, 0.5 * np.pi * w
+
+
+def _fresh_period_values(spec, annulus, levels, basis, epsabs, epsrel):
+    """Values (len(levels), len(basis)) of the periods on the ovals at the
+    levels, uncached.
+
+    Each order's rule runs on the levels with a period still open.  A
+    period's value at a level is the first rule value within
+    max(epsabs, epsrel |v|) of the previous order's, so it depends on that
+    level and period only.  A value still open after the last order comes
+    from integrate_form.
+    """
+    values = np.zeros((len(levels), len(basis)))
+    done = np.zeros(values.shape, dtype=bool)
+    todo, prev = np.arange(len(levels)), None
+    oval = trace_oval(spec, levels, annulus)
+    for period in basis:
+        _check_period(oval, period)
+    for n in GL_ORDERS:
+        theta, weights = _gauss_legendre(n)
+        geometry = _geometry(oval, theta)
+        # a row sum, so that each level's value does not depend on the others
+        cur = np.stack([(_period_integrand(period, *geometry) * weights).sum(axis=1)
+                        for period in basis], axis=1) * oval.orientation
+        if prev is not None:
+            new = ~done[todo] & (np.abs(cur - prev) <= np.maximum(epsabs, epsrel * np.abs(cur)))
+            values[todo] = np.where(new, cur, values[todo])
+            done[todo] |= new
+            open_ = ~done[todo].all(axis=1)
+            if not open_.any():
+                break
+            if not open_.all():
+                todo, cur = todo[open_], cur[open_]
+                oval = trace_oval(spec, levels[todo], annulus)
+        prev = cur
+    for i, j in zip(*np.nonzero(~done)):
+        oval = trace_oval(spec, float(levels[i]), annulus)
+        values[i, j] = integrate_form(oval, basis[j], epsabs, epsrel)
+    return values
+
+
 # {(Hamiltonian, annulus, Period, epsabs, epsrel): {level: value}}, keyed on
 # everything that changes the value.  Each map keeps the MAX_CACHED_LEVELS
 # levels inserted last.
@@ -237,20 +314,27 @@ _MOMENT_CACHE = {}
 MAX_CACHED_LEVELS = 4096
 
 
-def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11) -> list:
-    """Values of the periods in `basis` on the oval at level t, cached; the
-    missing ones are integrated over one traced oval."""
-    key, oval, values = float(t), None, []
-    for period in basis:
-        cache = _MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, period,
-                                          epsabs, epsrel), {})
-        if key not in cache:
-            if len(cache) >= MAX_CACHED_LEVELS:
-                del cache[next(iter(cache))]
-            oval = oval or trace_oval(spec, t, annulus)
-            cache[key] = integrate_form(oval, period, epsabs, epsrel)
-        values.append(cache[key])
-    return values
+def period_values(spec, annulus, t, basis, epsabs=1e-13, epsrel=1e-11):
+    """Values of the periods in `basis` on the oval at level t, as a list; for
+    a 1-d array t, an array with one row per level.  Cached per level; the
+    levels missing from any period's cache are computed in one pass."""
+    levels = np.atleast_1d(np.asarray(t, dtype=float))
+    keys = levels.tolist()
+    caches = [_MOMENT_CACHE.setdefault((spec.name, spec.s, spec.e, annulus, period,
+                                        epsabs, epsrel), {}) for period in basis]
+    values = np.array([[cache.get(key, math.nan) for key in keys] for cache in caches])
+    values = values.reshape(len(basis), len(keys)).T
+    missing = np.nonzero(np.isnan(values).any(axis=1))[0]
+    if len(missing):
+        values[missing] = _fresh_period_values(spec, annulus, levels[missing], basis,
+                                               epsabs, epsrel)
+        for cache, column in zip(caches, values[missing].T.tolist()):
+            for i, v in zip(missing, column):
+                if keys[i] not in cache:
+                    if len(cache) >= MAX_CACHED_LEVELS:
+                        del cache[next(iter(cache))]
+                    cache[keys[i]] = v
+    return values if np.ndim(t) else values[0].tolist()
 
 
 def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
@@ -258,12 +342,16 @@ def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic generating functions evaluated through quadrature
+# Symbolic generating functions evaluated through the periods
 # ---------------------------------------------------------------------------
 
-def eval_genfn(gf: GenFn, spec, annulus, t, epsabs=1e-13, epsrel=1e-11) -> float:
-    """Float value at level t of a generating function of either family."""
-    return gf.combine(period_values(spec, annulus, t, gf.basis, epsabs, epsrel), t)
+def eval_genfn(gf: GenFn, spec, annulus, t, epsabs=1e-13, epsrel=1e-11):
+    """Float value at level t of a generating function of either family, or
+    an array of its values at each level of a 1-d array t."""
+    values = period_values(spec, annulus, t, gf.basis, epsabs, epsrel)
+    if np.ndim(t):
+        return np.broadcast_to(gf.combine(values.T, t), np.shape(t))
+    return gf.combine(values, t)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +402,7 @@ def phi_check(spec: HamiltonianSpec, t: float, annulus: str = None) -> PhiReport
     # H dphi = (x y / 2) dx - (x^2 - e)/4 dy, checked through finite
     # differences of the closed form at sample points off the axis
     e = spec.e
-    h = spec.h_poly
+    h = spec.h_poly.float_terms()
     resid = 0.0
     for theta in np.linspace(-1.2, 1.2, 10):
         x = ov.x_of(theta)
@@ -322,7 +410,7 @@ def phi_check(spec: HamiltonianSpec, t: float, annulus: str = None) -> PhiReport
         eps = 1e-6
         dphix = (phi(x + eps, y) - phi(x - eps, y)) / (2 * eps)
         dphiy = (phi(x, y + eps) - phi(x, y - eps)) / (2 * eps)
-        hv = h.eval_float(x, y)
+        hv = eval_float_terms(h, x, y)
         resid = max(resid, abs(hv * dphix - x * y / 2),
                     abs(hv * dphiy + (x * x - e) / 4))
     return PhiReport(total_increment=inc, endpoint_values=endpoints,
@@ -343,11 +431,14 @@ class MelnikovSample:
     displacements: dict      # (t, eps) -> displacement
 
 
-def _period_estimate(oval: Oval) -> float:
-    """Time around the oval: the period of dx / x_dot = dx / H_y, with
-    H_y = m x^i y for every Hamiltonian here."""
+def _period_estimate(oval: Oval):
+    """Time around the oval (an array over the levels of an oval of many):
+    the period of dx / x_dot = dx / H_y, with H_y = m x^i y for every
+    Hamiltonian here."""
     ((i, _, _), m), = oval.spec.h_poly.dy().terms.items()
-    return abs(integrate_form(oval, Period(((-i, 1 / float(m)),), 0, -1)))
+    levels = oval.t[:, 0] if np.ndim(oval.t) else oval.t
+    values = period_values(oval.spec, oval.annulus, levels, (Period(((-i, 1 / float(m)),), 0, -1),))
+    return np.abs(values)[..., 0]
 
 
 def _start_and_direction(annulus, oval):
@@ -358,14 +449,71 @@ def _start_and_direction(annulus, oval):
     return (oval.x_hi, 0.0), -oval.orientation
 
 
+def _stacked_field(spec: HamiltonianSpec, w: OneForm, scale, eps):
+    """Right-hand side of the perturbed flow x' = H_y - eps B,
+    y' = -H_x + eps A (w = A dx + B dy) for N pairs stacked as
+    u = (x_0, y_0, x_1, y_1, ...), pair n with its own eps[n] and with time
+    multiplied by scale[n]."""
+    h = spec.h_poly
+    columns = (h.dy(), -w.b.subst_h(h), -h.dx(), w.a.subst_h(h))
+    monos = sorted({(i, j) for p in columns for (i, j, _) in p.terms})
+    pi = np.array([i for i, _ in monos])
+    pj = np.array([j for _, j in monos])
+    coeffs = np.array([[float(p.coefficient(i, j, 0)) for p in columns]
+                       for i, j in monos]).reshape(len(monos), len(columns))
+
+    def rhs(_s, u):
+        v = (u[0::2, None] ** pi * u[1::2, None] ** pj) @ coeffs
+        du = np.empty_like(u)
+        du[0::2] = scale * (v[:, 0] + eps * v[:, 1])
+        du[1::2] = scale * (v[:, 2] + eps * v[:, 3])
+        return du
+    return rhs
+
+
+_EPS = np.finfo(float).eps
+
+
+def _first_returns(rhs, u0, direction):
+    """State (x, y) of each stacked pair at its first crossing of y = 0 with
+    y' of the sign `direction` after the start.
+
+    One DOP853 solve runs over 1.1 time units (a return takes about one),
+    a second one on to 4 only for a pair that has not returned.  Each
+    crossing is bracketed between two step boundaries and located by brentq
+    on that step's dense-output interpolant.
+    """
+    hits = np.full((len(u0) // 2, 2), math.nan)
+    s0 = 0.0
+    for s1 in (1.1, 4.0):
+        sol = solve_ivp(rhs, (s0, s1), u0, method="DOP853", rtol=1e-12, atol=1e-12,
+                        dense_output=True)
+        if not sol.success:
+            raise NumericsError("integration failed before the section")
+        ys = direction * sol.y[1::2]
+        for n in np.nonzero(np.isnan(hits[:, 0]))[0]:
+            steps = np.nonzero((ys[n, :-1] < 0) & (ys[n, 1:] >= 0))[0]
+            if len(steps):
+                i = steps[0]
+                step = sol.sol.interpolants[i]
+                s = brentq(lambda s: step(s)[2 * n + 1], sol.t[i], sol.t[i + 1],
+                           xtol=4 * _EPS, rtol=4 * _EPS)
+                hits[n] = step(s)[2 * n:2 * n + 2]
+        if not np.isnan(hits[:, 0]).any():
+            return hits
+        s0, u0 = s1, sol.y[:, -1]
+    raise NumericsError("no return to the section (near a separatrix?)")
+
+
 def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
                     t_grid, eps_grid=None, symbolic: GenFn | None = None) -> MelnikovSample:
     """Estimate the order and size of the displacement map by integration.
 
-    Integrates the perturbed flow from the horizontal section, locates the
-    return through a direction-filtered section crossing, fits the leading
-    epsilon power by least squares on the geometric epsilon grid and
-    extrapolates the coefficient.
+    Integrates the perturbed flow from the horizontal section for every
+    (level, eps) pair at once, each pair in units of its level's period,
+    locates each return as a direction-filtered section crossing, fits the
+    leading epsilon power by least squares on the geometric epsilon grid
+    and extrapolates the coefficient.
     """
     if eps_grid is None:
         eps_grid = [1e-3, 2e-3, 4e-3, 8e-3]
@@ -373,37 +521,22 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
     if len(eps_grid) < 4 or not all(0 < e <= 1e-2 for e in eps_grid):
         raise ValidationError("need at least four epsilon values in (0, 1e-2]")
     h = spec.h_poly
-    hx, hy = h.dx(), h.dy()
-    fpol = -w.b
-    gpol = w.a
+    levels = np.asarray(t_grid, dtype=float)
+    oval = trace_oval(spec, levels, annulus)
+    (x0, _), direction = _start_and_direction(annulus, oval)
+    n_eps = len(eps_grid)
+    rhs = _stacked_field(spec, w, np.repeat(oval.orientation * _period_estimate(oval), n_eps),
+                         np.tile(eps_grid, len(levels)))
+    u0 = np.zeros(2 * n_eps * len(levels))
+    u0[0::2] = np.repeat(x0[:, 0], n_eps)
+    ends = iter(_first_returns(rhs, u0, direction).tolist())
 
     disp = {}
     shooting_vals = []
     ks = []
     for t in t_grid:
-        oval = trace_oval(spec, t, annulus)
-        T0 = _period_estimate(oval)
-        (x0, y0), direction = _start_and_direction(annulus, oval)
-        sign = oval.orientation
         for eps in eps_grid:
-            def rhs(_s, u):
-                x, y = u
-                return [sign * (hy.eval_float(x, y) + eps * fpol.eval_float(x, y)),
-                        sign * (-hx.eval_float(x, y) + eps * gpol.eval_float(x, y))]
-
-            def section(_s, u):
-                return u[1]
-            section.terminal = True
-            section.direction = direction
-            sol1 = solve_ivp(rhs, (0.0, 0.35 * T0), [x0, y0], method="DOP853",
-                             rtol=1e-12, atol=1e-12)
-            if not sol1.success:
-                raise NumericsError("integration failed before the section")
-            sol2 = solve_ivp(rhs, (0.0, 4.0 * T0), sol1.y[:, -1], method="DOP853",
-                             rtol=1e-12, atol=1e-12, events=section)
-            if not sol2.success or not len(sol2.t_events[0]):
-                raise NumericsError("no return to the section (near a separatrix?)")
-            xe, ye = sol2.y_events[0][0]
+            xe, ye = next(ends)
             disp[(t, eps)] = h.eval_float(xe, ye) - t
         ds = [disp[(t, eps)] for eps in eps_grid]
         if all(abs(dv) < 1e-11 for dv in ds):
@@ -429,7 +562,7 @@ def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
         fitted_k, fit_res = 0, 0.0
     sym_vals = None
     if symbolic is not None:
-        sym_vals = [eval_genfn(symbolic, spec, annulus, t) for t in t_grid]
+        sym_vals = eval_genfn(symbolic, spec, annulus, levels).tolist()
     return MelnikovSample(t_grid=list(t_grid), shooting=shooting_vals,
                           symbolic=sym_vals, fitted_k=fitted_k,
                           fit_residual=fit_res, displacements=disp)
@@ -466,20 +599,23 @@ class ZeroCount:
 
 
 def count_zeros(gf: GenFn, spec, annulus, interval, samples=400, bound=None) -> ZeroCount:
-    """Certified lower bound on the number of zeros by sign-change scanning."""
+    """Sign changes of the generating function on a float grid of levels.
+
+    A lower bound on the number of zeros only up to the floats: each
+    sample's sign is taken as computed, whatever its quadrature error, and
+    a pair of zeros between two samples shows no sign change.  The grid is
+    evaluated in one vectorised pass; each sign change is refined by brentq.
+    """
     lo, hi = interval
     ts = np.linspace(lo, hi, samples)
-    vals = [eval_genfn(gf, spec, annulus, float(t)) for t in ts]
-    if all(v == 0 for v in vals):
+    vals = eval_genfn(gf, spec, annulus, ts)
+    if not np.any(vals):
         raise NumericsError("generating function is identically zero on the grid")
     brackets = []
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0:
-            continue
-        if vals[i] * vals[i + 1] < 0:
-            root = brentq(lambda u: eval_genfn(gf, spec, annulus, float(u)),
-                          ts[i], ts[i + 1], xtol=1e-12)
-            brackets.append((float(ts[i]), float(ts[i + 1]), float(root)))
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+        root = brentq(lambda u: eval_genfn(gf, spec, annulus, float(u)),
+                      ts[i], ts[i + 1], xtol=1e-12)
+        brackets.append((float(ts[i]), float(ts[i + 1]), float(root)))
     count = len(brackets)
     if bound is not None and count > bound:
         raise NumericsError(f"observed {count} zeros exceeds the bound {bound}")
@@ -507,24 +643,24 @@ def fit_istar_asymptotics(t_values=None):
             "t_ln": float(coef[2]), "t_lin": float(coef[3])}
 
 
-def ext_eval(elem, spec, x, y, t):
-    """Float value of a log-extended element at a point of the level set."""
-    phi = phi_function(spec)(x, y)
-    out = 0.0
-    for (j, p), poly in elem.entries.items():
-        out += phi**j * poly.eval_float(x, y, t) / t**p
-    return out
-
-
 def integrate_ext_product(oval: Oval, elem, w: OneForm):
     """Loop integral of (extended element) * (polynomial one-form)."""
-    spec, t = oval.spec, oval.t
+    entries = [(j, p, poly.float_terms()) for (j, p), poly in elem.entries.items()]
+    phi, t = phi_function(oval.spec), oval.t
+    a, b = w.a.float_terms(), w.b.float_terms()
+
+    def ext(x, y):
+        ph = phi(x, y)
+        out = 0.0
+        for j, p, terms in entries:
+            out += ph**j * eval_float_terms(terms, x, y, t) / t**p
+        return out
 
     def A(x, y):
-        return ext_eval(elem, spec, x, y, t) * w.a.eval_float(x, y, t)
+        return ext(x, y) * eval_float_terms(a, x, y, t)
 
     def B(x, y):
-        return ext_eval(elem, spec, x, y, t) * w.b.eval_float(x, y, t)
+        return ext(x, y) * eval_float_terms(b, x, y, t)
     return integrate_form(oval, (A, B))
 
 
