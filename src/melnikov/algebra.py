@@ -4,14 +4,18 @@ Polynomials live in Q[x, y, H] where H is a formal symbol standing for the
 Hamiltonian; x and y carry weight one, H weight two.  For the quartic family
 the rewrite of x^4 through H puts any polynomial into a normal form whose
 x-exponents do not exceed three.  A Period names an oval integral that the
-numerics evaluate.
+numerics evaluate, and a PeriodCombination is a row of Laurent polynomials
+in the level t over a basis of Periods: the one type of every generating
+function.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
+
+from .upoly import Poly, RatFn
 
 
 class ValidationError(ValueError):
@@ -268,18 +272,42 @@ class Period(NamedTuple):
         return cls(((k, 1),), 0, ypow)
 
 
-class GenFn(Protocol):
-    """A generating function M_k as the numerics and the CLI read it, with
-    k its order: `basis` holds the Period keys of the periods it combines
-    and `combine(values, t)` is its float value at level t from the values
-    of those periods.  reduction.GeneratingFn, triangle.D4GenFn and
-    triangle.D4Periods are generating functions."""
+class PeriodCombination:
+    """A generating function M_k(t) = row(t) . B(t), with k its order and B
+    the periods in `basis` (Period keys).
+
+    A subclass supplies `basis`, `k` and `coeffs`: one Laurent polynomial
+    {power: Fraction} in t per basis period, with no zero entries.
+    reduction.GeneratingFn, triangle.D4Periods and triangle.D4GenFn are
+    views of this type that keep their own fields and to_json.
+    """
     k: int | None
     basis: tuple
+    coeffs: tuple
 
-    def to_json(self) -> dict: ...
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
-    def combine(self, values, t: float) -> float: ...
+    def row(self) -> tuple:
+        """The coefficients as rational functions of t, so that M = row . B."""
+        out = []
+        for lau in self.coeffs:
+            low = min([0, *lau])
+            out.append(RatFn(Poly([lau.get(p, 0) for p in range(low, max(lau, default=0) + 1)]),
+                             Poly.monomial(1, -low)))
+        return tuple(out)
+
+    def combine(self, values, t):
+        """M_k(t) from the float values of the basis periods at level t; for
+        a 1-d array t, values holds one row of values per period."""
+        total = 0.0
+        for lau, v in zip(self.coeffs, values):
+            if lau:
+                low, acc = min(0, *lau), 0.0
+                for p in range(max(lau), low - 1, -1):
+                    acc = acc * t + float(lau.get(p, 0))
+                total = total + acc / t ** -low * v
+        return total
 
 
 # ---------------------------------------------------------------------------

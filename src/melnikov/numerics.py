@@ -16,8 +16,10 @@ Every entry point takes a vector of levels in one numpy pass: trace_oval
 traces all the ovals at once, period_values applies Gauss-Legendre rules in
 theta of doubling order to all the levels it has not cached, and
 shooting_oracle integrates all its (level, eps) pairs as one stacked ODE
-system.  Adaptive quad is the fallback for periods whose rules do not
-settle, and the independent oracle of the tests.
+system, and eval_genfn combines the period values of any
+algebra.PeriodCombination.  Adaptive quad, failing only above both the
+requested tolerance and 1e-6 of the value, is the fallback for periods
+whose rules do not settle, and the independent oracle of the tests.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .algebra import (D4_TRIANGLE, ISTAR, GenFn, HamiltonianSpec, OneForm, Period,
-                      ValidationError, eval_float_terms)
+from .algebra import (D4_TRIANGLE, ISTAR, HamiltonianSpec, OneForm, Period,
+                      PeriodCombination, ValidationError, eval_float_terms)
 
 
 class NumericsError(RuntimeError):
@@ -241,7 +243,8 @@ def _integrand_functions(oval: Oval, integrand):
 
 def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
     """Adaptive quadrature of a Period or a one-form over the oval (of one
-    level), oriented as traced."""
+    level), oriented as traced.  Raises NumericsError when quad's error
+    estimate is above both the requested tolerance and 1e-6 max(1, |value|)."""
     import warnings
     from scipy.integrate import IntegrationWarning
     F = _integrand_functions(oval, integrand)
@@ -251,7 +254,7 @@ def integrate_form(oval: Oval, integrand, epsabs=1e-13, epsrel=1e-11) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(F, -np.pi / 2, np.pi / 2, epsabs=epsabs, epsrel=epsrel,
                         limit=400)
-    if err > 1e-6 * max(1.0, abs(val)):
+    if err > max(epsabs, epsrel * abs(val), 1e-6 * max(1.0, abs(val))):
         raise NumericsError(f"quadrature failed to converge (error {err:.2e})")
     return oval.orientation * val
 
@@ -367,9 +370,9 @@ def moment(spec, annulus, t, k, epsabs=1e-13, epsrel=1e-11) -> float:
 # Symbolic generating functions evaluated through the periods
 # ---------------------------------------------------------------------------
 
-def eval_genfn(gf: GenFn, spec, annulus, t, epsabs=1e-13, epsrel=1e-11):
-    """Float value at level t of a generating function of either family, or
-    an array of its values at each level of a 1-d array t."""
+def eval_genfn(gf: PeriodCombination, spec, annulus, t, epsabs=1e-13, epsrel=1e-11):
+    """Float value of gf at level t, or an array of its values at each level
+    of a 1-d array t."""
     values = period_values(spec, annulus, t, gf.basis, epsabs, epsrel)
     if np.ndim(t):
         return np.broadcast_to(gf.combine(values.T, t), np.shape(t))
@@ -528,7 +531,8 @@ def _first_returns(rhs, u0, direction):
 
 
 def shooting_oracle(spec: HamiltonianSpec, w: OneForm, annulus: str,
-                    t_grid, eps_grid=None, symbolic: GenFn | None = None) -> MelnikovSample:
+                    t_grid, eps_grid=None,
+                    symbolic: PeriodCombination | None = None) -> MelnikovSample:
     """Estimate the order and size of the displacement map by integration.
 
     Integrates the perturbed flow from the horizontal section for every
@@ -620,7 +624,8 @@ class ZeroCount:
     bound: int | None
 
 
-def count_zeros(gf: GenFn, spec, annulus, interval, samples=400, bound=None) -> ZeroCount:
+def count_zeros(gf: PeriodCombination, spec, annulus, interval, samples=400,
+                bound=None) -> ZeroCount:
     """Sign changes of the generating function on a float grid of levels.
 
     A lower bound on the number of zeros only up to the floats: each

@@ -24,8 +24,8 @@ from itertools import chain
 from math import comb, gcd, lcm
 from operator import add
 
-from .algebra import (SPECS, GenFn, HamiltonianSpec, OneForm, Period, ValidationError,
-                      WeightedPoly, _mono_split)
+from .algebra import (SPECS, HamiltonianSpec, OneForm, Period, PeriodCombination,
+                      ValidationError, WeightedPoly, _mono_split)
 from .upoly import Poly, exact_nullspace
 
 
@@ -785,7 +785,7 @@ def check_reconstruction(ring: LogRing, items, red: Reduction):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GeneratingFn:
+class GeneratingFn(PeriodCombination):
     """First nonvanishing generating function of a quartic chain.
 
     Represents M_k(t) = t^{-pole_order} [alpha(t) I0 + beta(t) I1 + gamma(t) I2]
@@ -804,14 +804,10 @@ class GeneratingFn:
 
     basis = tuple(map(Period.moment, range(3)))
 
-    def is_zero(self) -> bool:
-        return self.alpha.is_zero() and self.beta.is_zero() and self.gamma.is_zero()
-
-    def combine(self, values, t: float) -> float:
-        """M_k(t) from the float values of the basis periods at level t."""
-        i0, i1, i2 = values
-        return (self.alpha(t) * i0 + self.beta(t) * i1 + self.gamma(t) * i2) \
-            / (t ** self.pole_order)
+    @property
+    def coeffs(self) -> tuple:
+        return tuple({i - self.pole_order: c for i, c in enumerate(poly.coeffs) if c}
+                     for poly in (self.alpha, self.beta, self.gamma))
 
     def to_json(self):
         return {
@@ -906,7 +902,7 @@ class ChainResult:
     """genfn is the first nonvanishing generating function (None if every
     tested order vanishes) and k its order."""
     k: int | None
-    genfn: GenFn | None
+    genfn: PeriodCombination | None
     steps: list
     all_zero_up_to: int | None = None
 

@@ -7,9 +7,12 @@ f dL = 2xy dx + (6x - 2x^2) dy, and X = ln x.  On the level set f = t the
 periods of x^m y dx (written I_m) obey a four-term recursion, the two lowest
 log moments combine into the single new period int y (x-1) ln x dx, and the
 generating functions of quadratic perturbations with two vanishing orders
-land in the span of I_-1, I_0 and that log period.  The third-order
-equation of M3 is derived from the Gauss-Manin matrix of that basis, which
-in turn is derived from the reducer's moves (`gauss_manin`).
+land in the span of I_-1, I_0 and that log period.  D4Periods (a nonzero
+M1 or M2) and D4GenFn (M3) are views of algebra.PeriodCombination over that
+basis.  The third-order equation of M3 steps M3's row by the Gauss-Manin
+matrix of the basis, which in turn is derived from the reducer's moves
+(`gauss_manin`); one indicial routine reads its exponents at a finite
+singular point and at infinity.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import D4_TRIANGLE, ISTAR, OneForm, Period, ValidationError, WeightedPoly
+from .algebra import (D4_TRIANGLE, ISTAR, OneForm, Period, PeriodCombination,
+                      ValidationError, WeightedPoly)
 from .reduction import (ExtElem, LogRing, Reduction, ShapeError, UnitReducer, _DX, _DY,
                         _common_den, _ext_from_terms, _form_items, _nonzero, _numerators,
                         _xy_dict, francoise_chain)
@@ -238,11 +242,11 @@ _BASIS = (Period.moment(-1), Period.moment(0), ISTAR)
 
 
 @dataclass
-class D4Periods:
+class D4Periods(PeriodCombination):
     """Value of a cycle integral as Laurent data over the basis periods.
 
-    Each field maps an integer f-power p to the rational coefficient of
-    t^p multiplying the basis period: i_m1 ~ int y dx / x, i0 ~ int y dx,
+    Each field maps an integer f-power p to the nonzero rational coefficient
+    of t^p multiplying the basis period: i_m1 ~ int y dx / x, i0 ~ int y dx,
     istar ~ int y (x-1) ln x dx.  A nonzero M1 or M2 of the chain is one of
     these, with k its order.
     """
@@ -253,13 +257,9 @@ class D4Periods:
 
     basis = _BASIS
 
-    def is_zero(self):
-        return not (self.i_m1 or self.i0 or self.istar)
-
-    def combine(self, values, t: float) -> float:
-        return sum(float(c) * t ** p * v
-                   for lau, v in zip((self.i_m1, self.i0, self.istar), values)
-                   for p, c in sorted(lau.items()))
+    @property
+    def coeffs(self) -> tuple:
+        return self.i_m1, self.i0, self.istar
 
     def to_json(self):
         return {"k": self.k,
@@ -309,7 +309,7 @@ class D4ChainError(RuntimeError):
 
 
 @dataclass
-class D4GenFn:
+class D4GenFn(PeriodCombination):
     """Third-order generating function of a quadratic triangle perturbation.
 
     M_3(t) = c_m1 * int y dx/x + (c0 + c1/t) * int y dx
@@ -323,13 +323,10 @@ class D4GenFn:
     k = 3
     basis = _BASIS
 
-    def combine(self, values, t: float) -> float:
-        i_m1, i0, istar = values
-        return (float(self.c_m1) * i_m1 + (float(self.c0) + float(self.c1) / t) * i0
-                + float(self.cstar) / t * istar)
-
-    def is_zero(self):
-        return not (self.c_m1 or self.c0 or self.c1 or self.cstar)
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(_nonzero, ({0: self.c_m1}, {0: self.c0, -1: self.c1},
+                                    {-1: self.cstar})))
 
     def to_json(self):
         return {"c_m1": str(self.c_m1), "c0": str(self.c0),
@@ -384,13 +381,6 @@ _LIFTS = ({(0, 0, 0): ({(0, 3): Fraction(2, 3)}, {})},
           {(0, 1, 0): ({(2, 3): Fraction(2, 3), (1, 3): Fraction(-2, 3)}, {})})
 
 
-def _laurent_ratfn(lau: dict) -> RatFn:
-    """sum_p c_p t^p as a rational function of t."""
-    low = min(0, min(lau, default=0))
-    num = Poly([lau.get(p + low, 0) for p in range(max(lau, default=0) - low + 1)])
-    return RatFn(num, Poly.monomial(1, -low))
-
-
 def _mat_inv3(A):
     def det2(a, b, c, d):
         return a * d - b * c
@@ -419,8 +409,7 @@ def gauss_manin():
     Each lift reduces to R_i . B (its residue's periods), so B = R' B + R B'
     and G = R^-1 (1 - R').
     """
-    R = [[_laurent_ratfn(lau) for lau in (per.i_m1, per.i0, per.istar)]
-         for per in (periods_of_residue(reduce_full(lift).residue) for lift in _LIFTS)]
+    R = [periods_of_residue(reduce_full(lift).residue).row() for lift in _LIFTS]
     rhs = [[RatFn.const(int(i == j)) - R[i][j].derivative() for j in range(3)]
            for i in range(3)]
     Rinv = _mat_inv3(R)
@@ -494,15 +483,14 @@ def _singular_points(coeffs):
 def d4_fuchs_ode(gf: D4GenFn) -> FuchsOde:
     """Third-order equation for M3 from the Gauss-Manin matrix.
 
-    M3 = r_0 . B with r_0 = (c_m1, c0 + c1/t, cstar/t), and its k-th
-    derivative is r_k . B with r_(k+1) = r_k' + r_k G.  The left null vector
-    (a_1, a_2, a_3) of (r_1, r_2, r_3) gives a_3 M3''' + a_2 M3'' + a_1 M3' = 0.
+    M3 = r_0 . B with r_0 = gf.row(), and its k-th derivative is r_k . B
+    with r_(k+1) = r_k' + r_k G.  The left null vector (a_1, a_2, a_3) of
+    (r_1, r_2, r_3) gives a_3 M3''' + a_2 M3'' + a_1 M3' = 0.
     """
     if gf.is_zero():
         raise ValueError("degenerate generating function")
     G = gauss_manin()
-    t = Poly.x()
-    r = [RatFn.const(gf.c_m1), RatFn(Poly([gf.c1, gf.c0]), t), RatFn(Poly.const(gf.cstar), t)]
+    r = gf.row()
     rows = []
     for _ in range(3):
         r = _row_step(r, G)
@@ -512,56 +500,34 @@ def d4_fuchs_ode(gf: D4GenFn) -> FuchsOde:
 
 
 def d4_local_exponents(ode: FuchsOde, t0):
-    """Exponents of the indicial equation at a singular point (or 'inf')."""
+    """Exponents at a singular point t0 (or "inf"), and the factor of the
+    indicial polynomial without rational roots (None when it splits).
+
+    y = s^rho, s = t - t0, meets the lowest term c s^o of a_i in
+    c rho (rho - 1) ... (rho - i + 1) s^(rho - i + o); y = t^-rho meets the
+    top term c t^o in c (-rho) ... (-rho - i + 1) t^(-rho - i + o).  The
+    terms of least (at t0) or greatest (at infinity) o - i sum to the
+    indicial polynomial.
+    """
     if t0 == "inf":
-        return _indicial_roots(_transform_to_infinity(ode), Fraction(0))
-    t0 = Fraction(t0)
-    if ode.coeffs[-1].eval_exact(t0) != 0:
-        raise ValueError(f"t = {t0} is an ordinary point")
-    return _indicial_roots(ode.coeffs, t0)
-
-
-def _indicial_roots(coeffs, t0):
-    shifted = [p.shift(t0) for p in coeffs]
-    orders = [None if p.is_zero() else next(k for k, c in enumerate(p.coeffs) if c != 0)
-              for p in shifted]
-    lead_level = min(o - i for i, o in enumerate(orders) if o is not None)
+        sign, polys = -1, ode.coeffs
+    else:
+        t0 = Fraction(t0)
+        if ode.coeffs[-1].eval_exact(t0) != 0:
+            raise ValueError(f"t = {t0} is an ordinary point")
+        sign, polys = 1, [p.shift(t0) for p in ode.coeffs]
+    terms = []
+    for i, p in enumerate(polys):
+        if p:
+            o = p.degree if sign < 0 else next(o for o, c in enumerate(p.coeffs) if c)
+            terms.append((i, o, p.coeffs[o]))
+    level = max(sign * (i - o) for i, o, _ in terms)
     ind = Poly()
-    for i, p in enumerate(shifted):
-        if orders[i] is None or orders[i] - i != lead_level:
-            continue
-        c = p.coeffs[orders[i]]
-        fall = Poly.const(1)
-        for r in range(i):
-            fall = fall * Poly([-r, 1])
-        ind = ind + fall * c
+    for i, o, c in terms:
+        if sign * (i - o) == level:
+            term = Poly.const(c)
+            for r in range(i):
+                term = term * Poly([-r, sign])
+            ind = ind + term
     roots, rem = ind.rational_roots()
     return sorted(roots), (rem if not rem.is_zero() and rem.degree > 0 else None)
-
-
-def _transform_to_infinity(ode: FuchsOde):
-    """Coefficients of the equation in s = 1/t for z(s) = y(1/s)."""
-    n = ode.order
-    # y^(i)(t) = sum_k c_(i,k)(s) z^(k)(s) with the substitution t = 1/s:
-    # d/dt = -s^2 d/ds.  Build the operator images iteratively.
-    images = [{0: Poly.const(1)}]
-    for _ in range(n):
-        prev = images[-1]
-        cur = {}
-        for k, coef in prev.items():
-            dc = coef.derivative()
-            cur[k] = cur.get(k, Poly()) + Poly([0, 0, -1]) * dc
-            cur[k + 1] = cur.get(k + 1, Poly()) + Poly([0, 0, -1]) * coef
-        images.append(cur)
-    # a_i(1/s): clear powers of s by the maximal degree
-    maxdeg = max(p.degree for p in ode.coeffs if not p.is_zero())
-    out = {}
-    for i, p in enumerate(ode.coeffs):
-        if p.is_zero():
-            continue
-        # a_i(1/s) * s^maxdeg = s^(maxdeg - deg) * reversed(a_i)
-        rev = Poly([0] * (maxdeg - p.degree) + list(reversed(p.coeffs)))
-        for k, coef in images[i].items():
-            out[k] = out.get(k, Poly()) + rev * coef
-    coeffs = [out.get(k, Poly()) for k in range(n + 1)]
-    return coeffs

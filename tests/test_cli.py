@@ -145,6 +145,20 @@ def test_sample_negative_moments_are_their_own_periods(capsys, tmp_path):
                           integrate_form(ov, Period.moment(-1))]
 
 
+def test_sample_at_a_loose_tolerance_returns_its_values(capsys, tmp_path):
+    """quad's error estimate at --quad-tol 1e-3 is above 1e-6 |value| but
+    inside the request, so the values come back close to the default run's."""
+    argv = ("sample", "--ham", "eight-loop", "--annulus", "exterior", "--t-grid", "5.0")
+    runs = []
+    for extra in (("--quad-tol", "1e-3"), ()):
+        code, out = run(capsys, tmp_path, *argv, *extra)
+        assert code == 0, out
+        runs.append([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+    loose, default = runs
+    assert len(loose) == len(default) == 3
+    assert all(math.isclose(a, b, rel_tol=1e-3, abs_tol=1e-12) for a, b in zip(loose, default))
+
+
 def test_validation_exit_code(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "melnikov", "--ham", "eight-loop",
                     "--annulus", "nowhere", "--form", "y dx")

@@ -206,7 +206,7 @@ def test_chain_checks_every_reduction_with_the_oracle(monkeypatch, spec, annulus
 ])
 def test_every_chain_result_is_a_generating_function(spec, annulus, w):
     """GeneratingFn, D4Periods (a nonzero triangle M1) and D4GenFn (M3)
-    satisfy the GenFn protocol that the numerics and the CLI read."""
+    are PeriodCombinations, the type that the numerics and the CLI read."""
     gf = francoise_chain(w, spec, annulus).genfn
     assert gf.k in (1, 3) and isinstance(gf.basis, tuple)
     values = [1.0] * len(gf.basis)

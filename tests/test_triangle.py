@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from melnikov.algebra import WeightedPoly, OneForm, D4_TRIANGLE, ValidationError
 from melnikov.reduction import (ExtElem, ShapeError, _ext_items_from_q, check_reconstruction,
@@ -271,6 +271,87 @@ def test_local_exponents_ordinary_point_errors():
     ode = d4_fuchs_ode(gf)
     with pytest.raises(ValueError):
         d4_local_exponents(ode, Fraction(-2))
+
+
+def _reference_indicial_roots(coeffs, t0):
+    """Indicial roots at t0 from the lowest-order terms of the shifted
+    coefficients (the earlier two-routine path, kept as the reference)."""
+    shifted = [p.shift(t0) for p in coeffs]
+    orders = [None if p.is_zero() else next(k for k, c in enumerate(p.coeffs) if c != 0)
+              for p in shifted]
+    lead_level = min(o - i for i, o in enumerate(orders) if o is not None)
+    ind = Poly()
+    for i, p in enumerate(shifted):
+        if orders[i] is None or orders[i] - i != lead_level:
+            continue
+        c = p.coeffs[orders[i]]
+        fall = Poly.const(1)
+        for r in range(i):
+            fall = fall * Poly([-r, 1])
+        ind = ind + fall * c
+    roots, rem = ind.rational_roots()
+    return sorted(roots), (rem if not rem.is_zero() and rem.degree > 0 else None)
+
+
+def _reference_transform_to_infinity(ode: FuchsOde):
+    """Coefficients of the equation in s = 1/t for z(s) = y(1/s)."""
+    n = ode.order
+    # d/dt = -s^2 d/ds: the images of y^(i)(t) in the z^(k)(s)
+    images = [{0: Poly.const(1)}]
+    for _ in range(n):
+        prev = images[-1]
+        cur = {}
+        for k, coef in prev.items():
+            dc = coef.derivative()
+            cur[k] = cur.get(k, Poly()) + Poly([0, 0, -1]) * dc
+            cur[k + 1] = cur.get(k + 1, Poly()) + Poly([0, 0, -1]) * coef
+        images.append(cur)
+    # a_i(1/s) s^maxdeg = s^(maxdeg - deg) reversed(a_i)
+    maxdeg = max(p.degree for p in ode.coeffs if not p.is_zero())
+    out = {}
+    for i, p in enumerate(ode.coeffs):
+        if p.is_zero():
+            continue
+        rev = Poly([0] * (maxdeg - p.degree) + list(reversed(p.coeffs)))
+        for k, coef in images[i].items():
+            out[k] = out.get(k, Poly()) + rev * coef
+    return [out.get(k, Poly()) for k in range(n + 1)]
+
+
+@seed(1295)
+@settings(max_examples=25, deadline=None)
+@given(gf=st.builds(D4GenFn, *[st.sampled_from(
+    [Fraction(v) for v in (-2, -1, 0, 1, 3)] + [Fraction(-3, 8)])] * 4).filter(
+        lambda gf: not gf.is_zero()))
+@example(gf=D4GenFn(Fraction(-3, 32), Fraction(0), Fraction(0), Fraction(1)))
+def test_local_exponents_match_the_operator_rewrite(gf):
+    """One indicial routine gives the exponents of the substitution
+    t = 1/s at infinity and of the shifted coefficients at 0 and -4; the
+    factors without rational roots agree up to a constant."""
+    ode = d4_fuchs_ode(gf)
+    for t0 in ("inf", Fraction(0), Fraction(-4)):
+        ref = (_reference_indicial_roots(_reference_transform_to_infinity(ode), Fraction(0))
+               if t0 == "inf" else _reference_indicial_roots(ode.coeffs, t0))
+        roots, rem = d4_local_exponents(ode, t0)
+        assert roots == ref[0]
+        assert (rem is None) == (ref[1] is None)
+        assert rem is None or rem.primitive() == ref[1].primitive()
+
+
+def test_local_exponents_irrational_factor_matches_the_operator_rewrite():
+    """The Euler equation t^2 y'' + t y' - 2 y = 0, also moved to centre -4:
+    the indicial polynomial rho^2 - 2 has no rational root, at the centre
+    and at infinity alike."""
+    for centre in (Fraction(0), Fraction(-4)):
+        ode = FuchsOde(order=2, coeffs=[p.shift(-centre) for p in
+                                        (Poly([-2]), Poly([0, 1]), Poly([0, 0, 1]))],
+                       singular_points=[])
+        for t0, ref in ((centre, _reference_indicial_roots(ode.coeffs, centre)),
+                        ("inf", _reference_indicial_roots(
+                            _reference_transform_to_infinity(ode), Fraction(0)))):
+            roots, rem = d4_local_exponents(ode, t0)
+            assert roots == ref[0] == []
+            assert rem.primitive() == ref[1].primitive() == Poly([-2, 0, 1])
 
 
 def test_q1_omega2_minus_q2_df_is_closed():
