@@ -11,7 +11,7 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -332,6 +332,7 @@ class HamiltonianSpec:
     critical_values: tuple
     annuli: tuple                 # mapping name -> (lo, hi) handled below
     sigma_intervals: dict
+    sides: dict = field(default_factory=dict)   # interior annulus -> -1 left, +1 right
 
     def grad(self):
         return self.h_poly.dx(), self.h_poly.dy()
@@ -363,6 +364,7 @@ EIGHT_LOOP = HamiltonianSpec(
         "interior_right": (0.0, 0.25, "interior"),
         "exterior": (0.25, _INF, "exterior"),
     },
+    sides={"interior_left": -1, "interior_right": 1},
 )
 
 DOUBLE_HETEROCLINIC = HamiltonianSpec(

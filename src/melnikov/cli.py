@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import traceback
@@ -223,6 +224,8 @@ def _cmd_sample(args, out_base):
     spec = SPECS[args.ham]
     grid = _parse_grid(args.t_grid)
     moments = _parse_grid(args.moments, int)
+    if not (math.isfinite(args.quad_tol) and args.quad_tol > 0):
+        raise ValidationError(f"--quad-tol must be finite and positive, got {args.quad_tol}")
     config = {"cmd": "sample", "ham": args.ham, "annulus": args.annulus,
               "t_grid": args.t_grid, "moments": args.moments,
               "quad_tol": args.quad_tol}

@@ -11,7 +11,9 @@ to expressing the associated generating function through cycle integrals.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +45,9 @@ class LoopWord:
 
     @classmethod
     def parse(cls, text: str) -> "LoopWord":
-        """Grammar: letters d g1 g2 g3, inverses ' or ^-1, commutator [a,b]."""
-        text = text.strip()
-        if not text:
-            return cls(())
+        """Grammar: letters d g1 g2 g3, each with an optional ' (inverse) or
+        ^n / ^-n (n digits), commutator [a,b]; whitespace or * may separate
+        tokens."""
         return _parse_word(text)
 
     def __mul__(self, other: "LoopWord") -> "LoopWord":
@@ -87,19 +88,8 @@ class LoopWord:
     def display(self) -> str:
         if not self.letters:
             return "1"
-        out = []
-        i = 0
-        while i < len(self.letters):
-            n, e = self.letters[i]
-            j = i
-            tot = 0
-            while j < len(self.letters) and self.letters[j][0] == n \
-                    and self.letters[j][1] == e:
-                tot += e
-                j += 1
-            out.append(n if tot == 1 else f"{n}^{tot}")
-            i = j
-        return " ".join(out)
+        runs = ((n, e * len(list(run))) for (n, e), run in itertools.groupby(self.letters))
+        return " ".join(n if tot == 1 else f"{n}^{tot}" for n, tot in runs)
 
 
 def _free_reduce(letters):
@@ -112,78 +102,45 @@ def _free_reduce(letters):
     return out
 
 
+# A generator name with an optional inverse mark or exponent, or one other
+# character ([ , ] or an error); whitespace and * between tokens are skipped.
+_TOKEN = re.compile(r"(\w+)('|\^-?\d+)?|([^\s*])")
+
+
 def _parse_word(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace() or ch == "*":
-            i += 1
-            continue
-        if ch == "[":
-            depth = 1
-            j = i + 1
-            while j < len(text) and depth:
-                if text[j] == "[":
-                    depth += 1
-                elif text[j] == "]":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise WordError("unbalanced bracket")
-            inner = text[i + 1:j - 1]
-            comma = _top_level_comma(inner)
-            if comma is None:
-                raise WordError("commutator needs two arguments")
-            a = _parse_word(inner[:comma])
-            b = _parse_word(inner[comma + 1:])
-            tokens.append(a * b * a.inverse() * b.inverse())
-            i = j
-            continue
-        j = i
-        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        name = text[i:j]
-        if name not in ("d", "g1", "g2", "g3"):
-            raise WordError(f"unknown generator {name!r}")
-        exp = 1
-        if j < len(text) and text[j] == "'":
-            exp = -1
-            j += 1
-        elif text[j:j + 2] == "^-":
-            k = j + 2
-            num = ""
-            while k < len(text) and text[k].isdigit():
-                num += text[k]
-                k += 1
-            exp = -int(num or "1")
-            j = k
-        elif j < len(text) and text[j] == "^":
-            k = j + 1
-            num = ""
-            while k < len(text) and text[k].isdigit():
-                num += text[k]
-                k += 1
-            exp = int(num or "1")
-            j = k
-        tokens.append(LoopWord.from_syllables([(name, exp)]))
-        i = j
+    tokens = [m.groups() for m in _TOKEN.finditer(text)]
+    word, i = _parse_product(tokens, 0)
+    if i < len(tokens):
+        raise WordError(f"unexpected {tokens[i][2]!r} in word")
+    return word
+
+
+def _parse_product(tokens, i):
+    """The product of the generators and commutators from tokens[i] up to
+    the first token that is neither; returns it and that token's index."""
     out = LoopWord(())
-    for tok in tokens:
-        out = out * tok
-    return out
+    while i < len(tokens):
+        name, power, char = tokens[i]
+        if char == "[":
+            a, i = _parse_product(tokens, i + 1)
+            b, i = _parse_product(tokens, _expect(tokens, i, ","))
+            i = _expect(tokens, i, "]")
+            out = out * a * b * a.inverse() * b.inverse()
+            continue
+        if char:
+            break
+        if name not in GENERATORS:
+            raise WordError(f"unknown generator {name!r}")
+        exp = -1 if power == "'" else int(power[1:]) if power else 1
+        out = out * LoopWord.from_syllables([(name, exp)])
+        i += 1
+    return out, i
 
 
-def _top_level_comma(text):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return i
-    return None
+def _expect(tokens, i, char):
+    if i == len(tokens) or tokens[i][2] != char:
+        raise WordError(f"commutator needs [a,b], missing {char!r}")
+    return i + 1
 
 
 GENERATORS = ("d", "g1", "g2", "g3")

@@ -92,36 +92,27 @@ class Oval:
 
 
 def _a3_branch_data(spec: HamiltonianSpec, t, annulus: str):
-    """x-range, S and y^2' of a quartic oval; t is a float or a column."""
+    """x-range, S and y^2' of a quartic oval; t is a float or a column.
+
+    With u = x^2, y^2 = (s/2) (u_hi - u)(u - u_lo) for u_lo, u_hi =
+    e -+ 2 sqrt|t|.  An interior oval spans [sqrt u_lo, sqrt u_hi] on its
+    side of the saddle; a symmetric oval spans +-sqrt u_hi when s > 0 and
+    +-sqrt u_lo when s < 0, and S^2 is the factor left in u.
+    """
     s, e = spec.s, spec.e
     root = np.sqrt(np.abs(t))
-    if spec.name == "eight-loop":
-        if annulus in ("interior_left", "interior_right"):
-            xm = np.sqrt(1 - 2 * root)
-            xp = np.sqrt(1 + 2 * root)
-            if annulus == "interior_right":
-                lo, hi = xm, xp
-                S = lambda x: np.sqrt((xp + x) * (x + xm) / 2.0)
-            else:
-                lo, hi = -xp, -xm
-                S = lambda x: np.sqrt((xp - x) * (xm - x) / 2.0)
-        else:
-            X = np.sqrt(1 + 2 * root)
-            c2 = 2 * root - 1
-            lo, hi = -X, X
-            S = lambda x: np.sqrt((x * x + c2) / 2.0)
-    elif spec.name == "double-heteroclinic":
-        a = np.sqrt(1 - 2 * root)
-        b2 = 1 + 2 * root
-        lo, hi = -a, a
-        S = lambda x: np.sqrt((b2 - x * x) / 2.0)
-    elif spec.name == "global-center":
-        a = np.sqrt(2 * root - 1)
-        c2 = 1 + 2 * root
-        lo, hi = -a, a
-        S = lambda x: np.sqrt((x * x + c2) / 2.0)
+    u_lo, u_hi = e - 2 * root, e + 2 * root
+    side = spec.sides.get(annulus)
+    if side:
+        lo, hi = side * np.sqrt(u_lo), side * np.sqrt(u_hi)
+        if side < 0:
+            lo, hi = hi, lo
+        S = lambda x: np.sqrt(s * (x + hi) * (x + lo) / 2.0)
     else:
-        raise ValueError(spec.name)
+        far, near = (u_lo, u_hi) if s > 0 else (u_hi, u_lo)
+        hi = np.sqrt(near)
+        lo = -hi
+        S = lambda x: np.sqrt(s * (x * x - far) / 2.0)
     gp = lambda x: -2.0 * s * x * (x * x - e)
     return lo, hi, S, gp
 
@@ -384,45 +375,43 @@ def eval_genfn(gf: PeriodCombination, spec, annulus, t, epsabs=1e-13, epsrel=1e-
 # ---------------------------------------------------------------------------
 
 def phi_function(spec: HamiltonianSpec):
-    if spec.name == "eight-loop":
+    """The single-valued phi on the symmetric ovals of a quartic with
+    s = +-1: H dphi = (x y / 2) dx - (x^2 - e)/4 dy.  For s > 0 an
+    arctangent shifted by -(pi/2) sign(y), which keeps it continuous across
+    y = 0, and for s < 0 a logarithm."""
+    if spec.kind != "quartic":
+        raise ValueError(f"no phi closure for {spec.name}")
+    e, r2 = spec.e, math.sqrt(2)
+    if spec.s > 0:
         def phi(x, y):
             if y == 0:
                 return 0.0
-            return (math.atan((x * x - 1) / (y * math.sqrt(2)))
-                    - (math.pi / 2) * math.copysign(1.0, y)) / math.sqrt(2)
-        return phi
-    if spec.name == "double-heteroclinic":
+            return (math.atan((x * x - e) / (y * r2)) - (math.pi / 2) * math.copysign(1.0, y)) / r2
+    else:
         def phi(x, y):
-            u = 1 - x * x
-            return math.log((u - math.sqrt(2) * y) / (u + math.sqrt(2) * y)) / (2 * math.sqrt(2))
-        return phi
-    if spec.name == "global-center":
-        def phi(x, y):
-            return -math.atan(math.sqrt(2) * y / (x * x + 1)) / math.sqrt(2)
-        return phi
-    raise ValueError(f"no phi closure for {spec.name}")
+            u = e - x * x
+            return math.log((u - r2 * y) / (u + r2 * y)) / (2 * r2)
+    return phi
 
 
 @dataclass
 class PhiReport:
-    total_increment: float
+    max_jump: float
     endpoint_values: tuple
     identity_residual: float
 
 
 def phi_check(spec: HamiltonianSpec, t: float, annulus: str = None) -> PhiReport:
-    """Single-valuedness and differential identity of phi along an oval."""
-    annulus = annulus or ("exterior" if spec.name == "eight-loop" else "main")
+    """Single-valuedness and differential identity of phi along an oval:
+    max_jump is the largest change of phi between neighbours of a closed
+    4000-point polyline, wrap-around included, which a branch cut shows."""
+    annulus = annulus or next((a for a in spec.annuli if spec.is_exterior(a)), spec.annuli[0])
     if not spec.is_exterior(annulus):
         raise NumericsError("phi is attached to the symmetric annuli")
     ov = trace_oval(spec, t, annulus)
     phi = phi_function(spec)
-    pts = ov.points(n=4000)
-    vals = [phi(x, y) for x, y in pts]
-    inc = 0.0
-    for i in range(len(vals)):
-        dv = vals[(i + 1) % len(vals)] - vals[i]
-        inc += dv
+    vals = [phi(x, y) for x, y in ov.points(n=4000)]
+    jump = max(abs(v - u) for u, v in zip(vals, vals[1:] + vals[:1]))
     endpoints = (phi(ov.x_hi, 0.0), phi(ov.x_lo, 0.0))
     # H dphi = (x y / 2) dx - (x^2 - e)/4 dy, checked through finite
     # differences of the closed form at sample points off the axis
@@ -438,8 +427,7 @@ def phi_check(spec: HamiltonianSpec, t: float, annulus: str = None) -> PhiReport
         hv = eval_float_terms(h, x, y)
         resid = max(resid, abs(hv * dphix - x * y / 2),
                     abs(hv * dphiy + (x * x - e) / 4))
-    return PhiReport(total_increment=inc, endpoint_values=endpoints,
-                     identity_residual=resid)
+    return PhiReport(max_jump=jump, endpoint_values=endpoints, identity_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +456,9 @@ def _period_estimate(oval: Oval):
 
 def _start_and_direction(annulus, oval):
     """Start point on the x-axis and the sign of y' at the return there,
-    for the flow traversing the oval in its orientation."""
-    if annulus == "interior_left":
+    for the flow traversing the oval in its orientation: x_lo on a left
+    interior annulus (side -1) and x_hi otherwise."""
+    if oval.spec.sides.get(annulus, 1) < 0:
         return (oval.x_lo, 0.0), oval.orientation
     return (oval.x_hi, 0.0), -oval.orientation
 
@@ -634,6 +623,10 @@ def count_zeros(gf: PeriodCombination, spec, annulus, interval, samples=400,
     evaluated in one vectorised pass; each sign change is refined by brentq.
     """
     lo, hi = interval
+    if samples < 2:
+        raise ValidationError(f"need at least 2 samples, got {samples}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"need a finite interval lo < hi, got {lo}:{hi}")
     ts = np.linspace(lo, hi, samples)
     vals = eval_genfn(gf, spec, annulus, ts)
     if not np.any(vals):

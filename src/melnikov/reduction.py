@@ -440,7 +440,7 @@ class Reducer(UnitReducer):
     ring = property(lambda self: quartic_ring(self.spec))
     normalize = staticmethod(lambda elem: elem)
 
-    def genfn(self, step: "ChainStep", n: int, annulus: str, check: bool):
+    def genfn(self, step: "ChainStep", n: int, annulus: str):
         if self.fold:
             levels = [l for (l, _, i) in step.residue if l and i != 1]
             if levels:
@@ -449,14 +449,13 @@ class Reducer(UnitReducer):
                 raise ShapeError("sigma_1 residue on a symmetric annulus")
         else:
             m = self.check_polynomial(step.omega, step.exact, step.q)
-            if check and m > (step.k - 1) * (n - 1) + n:
+            if m > (step.k - 1) * (n - 1) + n:
                 raise ShapeError("interior chain degree bound violated")
         gf = GeneratingFn(step.k, annulus, self.spec.name, n,
                           *_residue_polys(step.residue, polynomial=not self.fold))
         if gf.is_zero():
             return None
-        if check:
-            gf.check_shape()
+        gf.check_shape()
         return gf
 
     def check_polynomial(self, items, exact: ExtElem, q: ExtElem) -> int:
@@ -595,13 +594,12 @@ def _residue_polys(residue, polynomial: bool):
     return (pole, *polys)
 
 
-def decompose(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> Decomposition:
+def decompose(w: OneForm, spec: HamiltonianSpec) -> Decomposition:
     """Full moment decomposition of a polynomial one-form (no phi, no poles)."""
     items = _form_items(w, spec)
     reducer = Reducer(spec, fold_sigma1=False)
     red = reducer.run(items)
-    if check:
-        check_reconstruction(reducer.ring, items, red)
+    check_reconstruction(reducer.ring, items, red)
     reducer.check_polynomial(items, red.exact, red.dh_coeff)
     _, alpha, beta, gamma = _residue_polys(red.residue, polynomial=True)
     return Decomposition(G=red.exact.entries.get((0, 0), WeightedPoly.zero()),
@@ -609,7 +607,7 @@ def decompose(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> Decompos
                          alpha=alpha, beta=beta, gamma=gamma)
 
 
-def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtDecomposition:
+def decompose_ext(w: OneForm, spec: HamiltonianSpec) -> ExtDecomposition:
     """Decomposition with the sigma_1 residue folded into phi (exterior annuli)."""
     items = _form_items(w, spec)
     red = Reducer(spec, fold_sigma1=True).run(items)
@@ -617,8 +615,7 @@ def decompose_ext(w: OneForm, spec: HamiltonianSpec, check: bool = True) -> ExtD
         raise ShapeError("sigma_1 residue survived the fold")
     _, alpha, _, gamma = _residue_polys(red.residue, polynomial=True)
     dec = ExtDecomposition(exact=red.exact, g=red.dh_coeff, alpha=alpha, gamma=gamma)
-    if check:
-        check_reconstruction(quartic_ring(spec), items, red)
+    check_reconstruction(quartic_ring(spec), items, red)
     if dec.g.phi_degree() > 1:
         raise ShapeError("first fold produced phi-degree above one")
     return dec
@@ -942,17 +939,18 @@ def _ext_items_from_q(q: ExtElem, w: OneForm):
 
 
 def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
-                    k_max: int = 6, check: bool = True) -> ChainResult:
+                    k_max: int = 6) -> ChainResult:
     """Francoise's recursion: reduce q_(k-1) w, with q_0 = 1, until the first
     step whose residue has a nonvanishing generating function.
 
     One loop serves every Hamiltonian and annulus; the family's reducer
     supplies the hooks `items(w)` (the first input), `reduce(items)`, `ring`
-    (for the oracle), `normalize` (of exact and q), `genfn(step, n, annulus,
-    check)` (None when the residue's generating function vanishes; it runs
-    the family's residue checks) and `check_q(q, k, n)`.  On the symmetric
-    annuli the quartic reducer folds sigma_1 into phi.  The triangle chain,
-    specialized to quadratic perturbations, stops at k = 3.
+    (for the oracle), `normalize` (of exact and q), `genfn(step, n, annulus)`
+    (None when the residue's generating function vanishes; it runs the
+    family's residue checks) and `check_q(q, k, n)`.  Every step runs the
+    reconstruction oracle and every check.  On the symmetric annuli the
+    quartic reducer folds sigma_1 into phi.  The triangle chain, specialized
+    to quadratic perturbations, stops at k = 3.
     """
     if annulus not in spec.annuli:
         raise ValidationError(f"unknown annulus {annulus!r} for {spec.name}")
@@ -968,16 +966,14 @@ def francoise_chain(w: OneForm, spec: HamiltonianSpec, annulus: str,
     steps = []
     for k in range(1, k_max + 1):
         red = family.reduce(items)
-        if check:
-            check_reconstruction(family.ring, items, red)
+        check_reconstruction(family.ring, items, red)
         step = ChainStep(k=k, omega=items, exact=family.normalize(red.exact),
                          q=family.normalize(red.dh_coeff), residue=red.residue)
         steps.append(step)
-        gf = family.genfn(step, n, annulus, check)
+        gf = family.genfn(step, n, annulus)
         if gf is not None:
             return ChainResult(k=k, genfn=gf, steps=steps)
-        if check:
-            family.check_q(step.q, k, n)
+        family.check_q(step.q, k, n)
         if k < k_max:
             items = _ext_items_from_q(step.q, w)
     return ChainResult(k=None, genfn=None, steps=steps, all_zero_up_to=k_max)

@@ -136,7 +136,7 @@ class D4Reducer(UnitReducer):
     def reduce(self, items) -> Reduction:
         return reduce_full(items)
 
-    def genfn(self, step, n, annulus, check):
+    def genfn(self, step, n, annulus):
         periods = periods_of_residue(step.residue, step.k)
         if step.k == 3:
             m3 = _genfn_from_periods(periods)
@@ -353,14 +353,14 @@ def _genfn_from_periods(per: D4Periods) -> D4GenFn:
                    c1=per.i0.get(-1, zero), cstar=per.istar.get(-1, zero))
 
 
-def d4_chain(w: OneForm, check: bool = True) -> D4ChainResult:
+def d4_chain(w: OneForm) -> D4ChainResult:
     """The three-step chain of a quadratic perturbation of the triangle.
 
     Requires the first two generating functions to vanish identically and
     raises D4ChainError with the nonzero periods otherwise.  For an exact
     perturbation every step vanishes and the result is flagged integrable.
     """
-    chain = francoise_chain(w, D4_TRIANGLE, "main", k_max=3, check=check)
+    chain = francoise_chain(w, D4_TRIANGLE, "main", k_max=3)
     if chain.k in (1, 2):
         raise D4ChainError(f"M{chain.k} nonzero", periods=chain.genfn)
     s1, s2, s3 = chain.steps

@@ -112,6 +112,16 @@ def test_d4_paper_example(capsys, tmp_path):
     assert data["ode_text"] == golden["ode_text"]
 
 
+def test_decompose_subcommand(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "decompose", "--ham", "eight-loop", "--form", "y^3 dx")
+    assert code == 0
+    golden = json.loads((Path(__file__).parent / "golden" / "reduction_golden.json").read_text())
+    assert json.loads(out) == golden["decompose_y3"]
+    code, out = run(capsys, tmp_path, "decompose", "--ham", "d4-triangle", "--form", "y dx")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_pair_subcommand(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "pair", "--word", "[g1,g2]")
     assert code == 0
@@ -239,6 +249,21 @@ def test_negative_option_values_in_the_space_separated_form(capsys, tmp_path):
      "--t-grid", "0.5", "--eps-grid", "0.1,0.2"),
     ("compare", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
      "--t-grid", "0.5", "--eps-grid", "1e-3,2e-3,4e-3,0.1"),
+    # a zero scan needs two samples on a finite interval lo < hi
+    *[("zeros", "--ham", "eight-loop", "--annulus", "exterior", "--form", "y^3 dx",
+       "--interval", interval, "--samples", samples)
+      for interval, samples in (("0.5:2", "-3"), ("0.5:2", "0"), ("0.5:2", "1"),
+                                ("0.5:0.5", "400"), ("2:0.5", "400"), ("0.5:inf", "400"),
+                                ("nan:2", "400"))],
+    # a quadrature tolerance must be finite and positive
+    ("sample", "--ham", "eight-loop", "--annulus", "exterior", "--t-grid", "0.5",
+     "--quad-tol", "0"),
+    ("sample", "--ham", "eight-loop", "--annulus", "exterior", "--t-grid", "0.5",
+     "--quad-tol=-1"),
+    ("sample", "--ham", "eight-loop", "--annulus", "exterior", "--t-grid", "0.5",
+     "--quad-tol", "nan"),
+    # an exponent needs its digits
+    ("pair", "--word", "g1^"),
 ])
 def test_bad_input_is_a_validation_error(capsys, tmp_path, argv):
     code, out = run(capsys, tmp_path, *argv)

@@ -43,7 +43,7 @@ def test_log_closure_identity_numeric_on_oval():
 def test_log_shift_invariance_of_triangle_chain():
     """Replacing L by L + c reproduces the same generating function."""
     w = paper_form()
-    base = d4_chain(w, check=False)
+    base = d4_chain(w)
     c = Fraction(5, 3)
     q1_shift = base.q1.subst_log_shift(0, c)
     items2 = _ext_items_from_q(q1_shift, w)
@@ -118,7 +118,7 @@ def test_variant_exterior_chain_shapes():
             w = OneForm(WeightedPoly(terms), WeightedPoly.zero())
             if w.is_zero():
                 continue
-            res = francoise_chain(w, spec, "main", k_max=4, check=True)
+            res = francoise_chain(w, spec, "main", k_max=4)
             if res.genfn is not None:
                 res.genfn.check_shape()
                 assert res.genfn.beta.is_zero()
@@ -186,7 +186,8 @@ def test_phi_matches_universal_differential():
 ])
 def test_chain_checks_every_reduction_with_the_oracle(monkeypatch, spec, annulus, w):
     """The one chain loop passes each family's reduction through the exact
-    oracle: a reduction that lost its residue fails with check=True only."""
+    oracle: a reduction that lost its residue is caught by the oracle and by
+    nothing else."""
     from dataclasses import replace
     from melnikov import reduction, triangle
     from melnikov.reduction import ShapeError
@@ -196,7 +197,8 @@ def test_chain_checks_every_reduction_with_the_oracle(monkeypatch, spec, annulus
     monkeypatch.setattr(triangle, "reduce_full", lambda items: replace(full(items), residue={}))
     with pytest.raises(ShapeError, match="does not reconstruct"):
         francoise_chain(w, spec, annulus, k_max=3)
-    assert francoise_chain(w, spec, annulus, k_max=3, check=False).genfn is None
+    monkeypatch.setattr(reduction, "check_reconstruction", lambda ring, items, red: None)
+    assert francoise_chain(w, spec, annulus, k_max=3).genfn is None
 
 
 @pytest.mark.parametrize("spec, annulus, w", [

@@ -54,6 +54,35 @@ def test_parse_and_reduce():
     assert homology_class(w) == (0, 1, 0, 0)
 
 
+@pytest.mark.parametrize("text, letters", [
+    ("g1'g2", (("g1", -1), ("g2", 1))),
+    ("d*g1", (("d", 1), ("g1", 1))),
+    ("g1^3 g1^-2", (("g1", 1),)),
+    ("g1^-0", ()),
+    ("[g1^2,g2']*d^-1", (("g1", 1), ("g1", 1), ("g2", -1), ("g1", -1), ("g1", -1),
+                         ("g2", 1), ("d", -1))),
+    ("[g1,[g2,g3]]g1'", (("g1", 1), ("g2", 1), ("g3", 1), ("g2", -1), ("g3", -1),
+                         ("g1", -1), ("g3", 1), ("g2", 1), ("g3", -1), ("g2", -1),
+                         ("g1", -1))),
+    ("[,g1]", ()),
+])
+def test_word_grammar(text, letters):
+    assert W(text).letters == letters
+
+
+@pytest.mark.parametrize("text", ["g1g2", "g1^", "g1^-", "g1''", "g1 ^2", "g1^+2",
+                                  "[g1,g2]^2", "[g1]", "[g1,g2", "[g1,g2,g3]", "g1]",
+                                  "g1,g2", "g4"])
+def test_word_grammar_rejects(text):
+    with pytest.raises(WordError):
+        W(text)
+
+
+def test_display_groups_equal_letters():
+    assert W("g1 g1 g2' g2' g2' d").display() == "g1^2 g2^-3 d"
+    assert W("").display() == "1"
+
+
 def test_free_reduction_idempotent():
     w = W("g1 g1 g1^-1 g2 g2^-1 g1^-1")
     assert w.is_identity()

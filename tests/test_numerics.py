@@ -143,10 +143,23 @@ def test_a3_derivative_identity():
 ])
 def test_phi_single_valued_and_identities(spec, t):
     rep = phi_check(spec, t)
-    assert abs(rep.total_increment) < 1e-9
+    assert rep.max_jump < 0.02
     assert abs(rep.endpoint_values[0]) < 1e-10
     assert abs(rep.endpoint_values[1]) < 1e-10
     assert rep.identity_residual < 1e-7
+
+
+@pytest.mark.parametrize("spec", [EIGHT_LOOP, GLOBAL_CENTER])
+def test_phi_check_catches_a_branch_cut(monkeypatch, spec):
+    """The arctangent without its -(pi/2) sign(y) shift is cut along y = 0,
+    which the largest jump between neighbouring points shows."""
+    from melnikov import numerics
+
+    def cut_phi(spec):
+        r2 = math.sqrt(2)
+        return lambda x, y: math.atan((x * x - spec.e) / (r2 * y)) / r2 if y else 0.0
+    monkeypatch.setattr(numerics, "phi_function", cut_phi)
+    assert phi_check(spec, 1.0).max_jump > 0.02
 
 
 def test_shooting_interior_k1_matches_quadrature():
@@ -171,7 +184,7 @@ def test_shooting_exact_perturbation_noise_floor():
 def test_shooting_triangle_third_order():
     w = OneForm(WeightedPoly.zero(),
                 WeightedPoly.const(-2) + X - X**2 * Fraction(1, 2))
-    res = d4_chain(w, check=False)
+    res = d4_chain(w)
     samp = shooting_oracle(D4_TRIANGLE, w, "main", [-2.0], symbolic=res.m3)
     assert samp.fitted_k == 3
     assert abs(samp.shooting[0] - samp.symbolic[0]) < 1e-3 * abs(samp.symbolic[0])

@@ -64,7 +64,7 @@ def test_decompose_reconstructs_random_forms(spec):
     rng = random.Random(11)
     for _ in range(50):
         w = rand_form(rng, 9, spec, with_h=True)
-        decompose(w, spec, check=True)  # raises on failure
+        decompose(w, spec)  # raises on failure
 
 
 def test_decompose_degree_bounds():
@@ -190,7 +190,7 @@ def test_exterior_random_reconstruction_and_shapes():
         w = rand_form(rng, 4)
         if w.is_zero():
             continue
-        francoise_chain(w, EIGHT_LOOP, "exterior", k_max=3, check=True)
+        francoise_chain(w, EIGHT_LOOP, "exterior", k_max=3)
 
 
 def test_phi_shift_invariance_of_chain():

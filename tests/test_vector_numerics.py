@@ -131,7 +131,7 @@ def _scan_cases():
         res = francoise_chain(w, spec, annulus)
         cases.append((res.genfn, spec, annulus, interval, 400,
                       zero_bound(spec, annulus, res.genfn.n, res.k)))
-    cases.append((d4_chain(paper_form(), check=False).m3, D4_TRIANGLE, "main",
+    cases.append((d4_chain(paper_form()).m3, D4_TRIANGLE, "main",
                    (-3.9, -0.1), 400, None))
     return cases
 
@@ -213,7 +213,7 @@ def test_stacked_shooting_matches_per_pair_solves(spec, annulus, w, t_grid, eps_
 
 
 def test_stacked_shooting_on_the_triangle_third_order():
-    res = d4_chain(paper_form(), check=False)
+    res = d4_chain(paper_form())
     samp = shooting_oracle(D4_TRIANGLE, paper_form(), "main", [-3.0, -2.0, -1.0],
                            symbolic=res.m3)
     assert samp.fitted_k == 3
